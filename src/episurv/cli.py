@@ -40,6 +40,7 @@ from .ingest import (
 from .metrics import (
     CohortFilter,
     GROUP_DIMENSIONS,
+    MetricsReport,
     PositivityMode,
     RankMetric,
     SeverityCriterion,
@@ -50,13 +51,12 @@ from .metrics import (
     death_classification_sex_tally,
     death_icu_sex_tally,
     intubation_sex_tally,
-    rank_states,
     state_treatment_tally,
     stratified_report,
     treatment_sex_tally,
 )
 from .report import ShapeMismatch, TableId, format_pct, render
-from .schema import STATE_NAMES, Sex
+from .schema import Sex
 
 __all__ = ["main"]
 
@@ -141,21 +141,6 @@ def _write(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def _emit_rows(cols: tuple[str, ...], rows: list[tuple], fmt: str) -> bytes:
-    """Tiny renderer for CLI-only outputs (the rank listing)."""
-    if fmt == "json":
-        import json
-        return (json.dumps([dict(zip(cols, row)) for row in rows]) + "\n").encode()
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(cols) + " |",
-                 "| " + " | ".join("---" for _ in cols) + " |"]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-        return ("\n".join(lines) + "\n").encode()
-    lines = ["\t".join(cols)]
-    lines += ["\t".join(str(c) for c in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
-
-
 # --- commands -----------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -171,13 +156,13 @@ def _cmd_validate(args) -> int:
 
 
 _EPI_TALLIES = {
-    "t1": (classification_sex_tally, TableId.T1),
-    "t2": (classification_sex_tally, TableId.T2),
-    "t3": (treatment_sex_tally, TableId.T3),
-    "t4": (state_treatment_tally, TableId.T4),
-    "t5": (intubation_sex_tally, TableId.T5),
-    "t6": (death_classification_sex_tally, TableId.T6),
-    "t7": (death_icu_sex_tally, TableId.T7),
+    "t1": classification_sex_tally,
+    "t2": classification_sex_tally,
+    "t3": treatment_sex_tally,
+    "t4": state_treatment_tally,
+    "t5": intubation_sex_tally,
+    "t6": death_classification_sex_tally,
+    "t7": death_icu_sex_tally,
 }
 
 
@@ -187,20 +172,18 @@ def _cmd_epi_report(args) -> int:
                            encoding=args.encoding)
     records = stream.records()
     if args.table in _EPI_TALLIES:
-        tally, table_id = _EPI_TALLIES[args.table]
-        data = tally(records, cohort)
-        payload = render(table_id, data, args.format)
+        data = _EPI_TALLIES[args.table](records, cohort)
     elif args.table == "comorbidity-profile":
         data = comorbidity_profile(records, cohort, Subcohort(args.subcohort))
-        payload = render(TableId.COMORBIDITY_PROFILE, data, args.format)
     else:
-        reports = stratified_report(
+        data = stratified_report(
             records, cohort, args.group_by,
             SeverityCriterion(args.severity_rule),
             PositivityMode(args.positivity),
         )
-        payload = render(TableId.METRICS, reports, args.format)
-        national = reports[StratumKey()].fatality_pct
+    payload = render(TableId(args.table), data, args.format)
+    if args.table == "metrics":
+        national = data[StratumKey()].fatality_pct
         if national is not None and format_pct(national) == "15.60":
             sys.stderr.write(_FATALITY_NOTE + "\n")
     _progress(stream.stats)
@@ -211,63 +194,47 @@ def _cmd_epi_report(args) -> int:
 def _cmd_genomic_report(args) -> int:
     catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
     stream = ingest_gisaid(args.input, encoding=args.encoding)
-    samples = list(stream.records())
-    _progress(stream.stats)
+    samples = stream.records()
     if args.table == "g3-shares":
         data = variant_shares(samples, catalog)
-        payload = render(TableId.G3_SHARES, data, args.format)
     elif args.table == "t8":
-        payload = render(TableId.T8, full_crosstab(samples, catalog), args.format)
+        data = full_crosstab(samples, catalog)
     elif args.table == "t9":
         data = status_crosstab(samples, catalog, args.label)
-        payload = render(TableId.T9, data, args.format)
     else:
-        summary = state_summary(samples, catalog, args.label, args.states)
-        payload = render(TableId(args.table), summary, args.format)
-    _write(payload, args.out)
+        data = state_summary(samples, catalog, args.label, args.states)
+    _progress(stream.stats)
+    _write(render(TableId(args.table), data, args.format), args.out)
     return 0
+
+
+def _state_reports(args) -> dict[StratumKey, MetricsReport]:
+    """Ingest and stratify by state: the data behind rank, scatter and severity."""
+    stream = ingest_sveerv(args.input, delimiter=args.delimiter,
+                           encoding=args.encoding)
+    reports = stratified_report(
+        stream.records(), _cohort_from(args), ("state",),
+        SeverityCriterion(args.severity_rule),
+        PositivityMode(args.positivity),
+    )
+    _progress(stream.stats)
+    return reports
 
 
 def _cmd_rank(args) -> int:
-    cohort = _cohort_from(args)
-    stream = ingest_sveerv(args.input, delimiter=args.delimiter,
-                           encoding=args.encoding)
-    reports = stratified_report(
-        stream.records(), cohort, ("state",),
-        SeverityCriterion(args.severity_rule),
-        PositivityMode(args.positivity),
-    )
-    _progress(stream.stats)
-    ranked = rank_states(reports, RankMetric(args.metric))
-    cols = ("rank", "state_code", "state", f"{args.metric}_pct")
-    rows = [
-        (i + 1, code, STATE_NAMES.get(code, str(code)), format_pct(value))
-        for i, (code, value) in enumerate(ranked)
-    ]
-    _write(_emit_rows(cols, rows, args.format), args.out)
-    return 0
-
-
-def _chart_command(args, table_id: TableId) -> int:
-    cohort = _cohort_from(args)
-    stream = ingest_sveerv(args.input, delimiter=args.delimiter,
-                           encoding=args.encoding)
-    reports = stratified_report(
-        stream.records(), cohort, ("state",),
-        SeverityCriterion(args.severity_rule),
-        PositivityMode(args.positivity),
-    )
-    _progress(stream.stats)
-    _write(render(table_id, reports, args.format), args.out)
+    data = (RankMetric(args.metric), _state_reports(args))
+    _write(render(TableId.RANK, data, args.format), args.out)
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    return _chart_command(args, TableId.G4_SCATTER)
+    _write(render(TableId.G4_SCATTER, _state_reports(args), args.format), args.out)
+    return 0
 
 
 def _cmd_severity(args) -> int:
-    return _chart_command(args, TableId.G5_STACK)
+    _write(render(TableId.G5_STACK, _state_reports(args), args.format), args.out)
+    return 0
 
 
 def _cmd_fixture_gen(args) -> int:

@@ -7,10 +7,12 @@ lineage's descendants, e.g. "B.1.617.2+AY.x".
 """
 
 import csv
+import functools
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ingest import LINEAGE_RE, MissingRequiredColumn, SampleRecord, _open_source
 from .metrics import AgeGroup, age_group
@@ -285,16 +287,26 @@ class VariantShares:
     unclassified: int
 
 
+def _labelled(
+    samples: Iterable[SampleRecord], catalog: VariantCatalog,
+) -> Iterator[tuple[str | None, SampleRecord]]:
+    """(who_label or None, sample) pairs; each distinct lineage is classified
+    once per call, not once per sample."""
+    classify = functools.cache(catalog.classify)
+    return ((classify(sample.pango_lineage), sample) for sample in samples)
+
+
+def _of_label(
+    samples: Iterable[SampleRecord], catalog: VariantCatalog, who_label: str,
+) -> Iterator[SampleRecord]:
+    wanted = _canonical_label(who_label)
+    return (sample for label, sample in _labelled(samples, catalog) if label == wanted)
+
+
 def variant_shares(samples: Iterable[SampleRecord], catalog: VariantCatalog = DEFAULT_CATALOG) -> VariantShares:
     """Count samples per who_label; share denominators exclude unclassified."""
-    counts: dict[str, int] = {}
-    unclassified = 0
-    for sample in samples:
-        label = catalog.classify(sample.pango_lineage)
-        if label is None:
-            unclassified += 1
-        else:
-            counts[label] = counts.get(label, 0) + 1
+    counts = Counter(label for label, _ in _labelled(samples, catalog))
+    unclassified = counts.pop(None, 0)
     classified = sum(counts.values())
     shares = {
         v.who_label: (counts[v.who_label], counts[v.who_label] / classified * 100.0)
@@ -308,46 +320,31 @@ def clade_crosstab(
     samples: Iterable[SampleRecord],
     catalog: VariantCatalog = DEFAULT_CATALOG,
     who_label: str = "Delta",
-) -> dict[tuple[str, str], int]:
+) -> Counter[tuple[str, str]]:
     """(lineage, clade) counts within one variant."""
-    wanted = _canonical_label(who_label)
-    tab: dict[tuple[str, str], int] = {}
-    for sample in samples:
-        if catalog.classify(sample.pango_lineage) == wanted:
-            key = (sample.pango_lineage, sample.gisaid_clade)
-            tab[key] = tab.get(key, 0) + 1
-    return tab
+    return Counter((s.pango_lineage, s.gisaid_clade) for s in _of_label(samples, catalog, who_label))
 
 
 def status_crosstab(
     samples: Iterable[SampleRecord],
     catalog: VariantCatalog = DEFAULT_CATALOG,
     who_label: str = "Delta",
-) -> dict[tuple[str, str], int]:
+) -> Counter[tuple[str, str]]:
     """(verbatim patient status, clade) counts within one variant."""
-    wanted = _canonical_label(who_label)
-    tab: dict[tuple[str, str], int] = {}
-    for sample in samples:
-        if catalog.classify(sample.pango_lineage) == wanted:
-            key = (sample.patient_status, sample.gisaid_clade)
-            tab[key] = tab.get(key, 0) + 1
-    return tab
+    return Counter((s.patient_status, s.gisaid_clade) for s in _of_label(samples, catalog, who_label))
 
 
 def full_crosstab(
     samples: Iterable[SampleRecord],
     catalog: VariantCatalog = DEFAULT_CATALOG,
-) -> dict[str, dict[tuple[str, str], int]]:
+) -> dict[str, Counter[tuple[str, str]]]:
     """(lineage, clade) counts for every classified label, in catalog order."""
-    tabs: dict[str, dict[tuple[str, str], int]] = {}
-    for sample in samples:
-        label = catalog.classify(sample.pango_lineage)
-        if label is None:
-            continue
-        tab = tabs.setdefault(label, {})
-        key = (sample.pango_lineage, sample.gisaid_clade)
-        tab[key] = tab.get(key, 0) + 1
-    return {v.who_label: tabs[v.who_label] for v in catalog.variants if v.who_label in tabs}
+    counts = Counter((label, s.pango_lineage, s.gisaid_clade)
+                     for label, s in _labelled(samples, catalog) if label is not None)
+    tabs: dict[str, Counter[tuple[str, str]]] = {v.who_label: Counter() for v in catalog.variants}
+    for (label, lineage, clade), n in counts.items():
+        tabs[label][lineage, clade] = n
+    return {label: tab for label, tab in tabs.items() if tab}
 
 
 @dataclass
@@ -355,22 +352,20 @@ class StateBlock:
     """Per-state tallies for one variant's samples."""
 
     total: int = 0
-    clades: dict[str, int] = field(default_factory=dict)
-    sexes: dict[Sex, int] = field(default_factory=dict)
-    vaccines: dict[str, int] = field(default_factory=dict)
-    age_sex: dict[tuple[AgeGroup, Sex], int] = field(default_factory=dict)
-    status_buckets: dict[StatusBucket, int] = field(default_factory=dict)
+    clades: Counter[str] = field(default_factory=Counter)
+    sexes: Counter[Sex] = field(default_factory=Counter)
+    vaccines: Counter[str] = field(default_factory=Counter)
+    age_sex: Counter[tuple[AgeGroup, Sex]] = field(default_factory=Counter)
+    status_buckets: Counter[StatusBucket] = field(default_factory=Counter)
 
     def _add(self, sample: SampleRecord) -> None:
         self.total += 1
-        self.clades[sample.gisaid_clade] = self.clades.get(sample.gisaid_clade, 0) + 1
-        self.sexes[sample.sex] = self.sexes.get(sample.sex, 0) + 1
+        self.clades[sample.gisaid_clade] += 1
+        self.sexes[sample.sex] += 1
         if sample.vaccine is not None:
-            self.vaccines[sample.vaccine] = self.vaccines.get(sample.vaccine, 0) + 1
-        key = (age_group(sample.age_years), sample.sex)
-        self.age_sex[key] = self.age_sex.get(key, 0) + 1
-        bucket = bucket_status(sample.patient_status)
-        self.status_buckets[bucket] = self.status_buckets.get(bucket, 0) + 1
+            self.vaccines[sample.vaccine] += 1
+        self.age_sex[age_group(sample.age_years), sample.sex] += 1
+        self.status_buckets[bucket_status(sample.patient_status)] += 1
 
 
 @dataclass
@@ -398,12 +393,9 @@ def state_summary(
     blocks = {name: StateBlock() for name in order}
     lookup = {fold_text(name): name for name in order}
     totals = StateBlock()
-    for sample in samples:
-        if catalog.classify(sample.pango_lineage) != wanted:
-            continue
+    for sample in _of_label(samples, catalog, wanted):
         name = lookup.get(fold_text(sample.state))
-        if name is None:
-            continue
-        blocks[name]._add(sample)
-        totals._add(sample)
+        if name is not None:
+            blocks[name]._add(sample)
+            totals._add(sample)
     return StateSummary(who_label=wanted, per_state=blocks, totals=totals)

@@ -194,10 +194,9 @@ def _resolve_header(
 
 
 # Raw-string decode tables; the fallback path handles uncommon spellings.
-_FLAG_BY_STR = {"1": CodedFlag.YES, "2": CodedFlag.NO, "97": CodedFlag.NOT_APPLICABLE,
-                "98": CodedFlag.IGNORED, "99": CodedFlag.UNSPECIFIED}
+_FLAG_BY_STR = {str(f.value): f for f in CodedFlag}
 _CLASS_BY_STR = {str(c.value): c for c in CaseClassification}
-_TREAT_BY_STR = {"1": TreatmentStrategy.AMBULATORY, "2": TreatmentStrategy.HOSPITALIZED}
+_TREAT_BY_STR = {str(t.value): t for t in TreatmentStrategy}
 _SEX_BY_STR = {"1": Sex.FEMALE, "2": Sex.MALE}
 
 
@@ -330,7 +329,7 @@ def _parse_gisaid_age(raw: str) -> int | None:
         return None
     try:
         value = int(float(raw))
-    except ValueError:
+    except (ValueError, OverflowError):  # int() raises these for nan and for inf/1e400
         return None
     return value if 0 <= value <= MAX_AGE else None
 

@@ -14,7 +14,8 @@ independently and combined; rates for an empty denominator are Undefined
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -61,10 +62,6 @@ class AgeGroup(Enum):
     Y41_59 = "41-59"
     Y60_PLUS = "60+"
     UNKNOWN = "unknown"
-
-
-_AGE_ORDER = (AgeGroup.Y0_20, AgeGroup.Y21_40, AgeGroup.Y41_59, AgeGroup.Y60_PLUS,
-              AgeGroup.UNKNOWN)
 
 
 def age_group(age_years: int | None) -> AgeGroup:
@@ -385,23 +382,16 @@ def comorbidity_profile(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
     subcohort: Subcohort = Subcohort.DEATHS_ICU_INTUBATED,
-) -> dict[tuple[str, AgeGroup], int]:
+) -> Counter[tuple[str, AgeGroup]]:
     """Count YES comorbidity flags by (comorbidity, age group) in a subcohort.
 
     Escape codes (97/98/99) and NO do not count. Empty subcohort gives an
     empty map.
     """
-    profile: dict[tuple[str, AgeGroup], int] = {}
-    for r in _filtered(records, cohort):
-        if not _in_subcohort(r, subcohort):
-            continue
-        group = age_group(r.age_years)
-        flags = r.comorbidities
-        for name in COMORBIDITY_FIELDS:
-            if flags.get(name) is CodedFlag.YES:
-                key = (name, group)
-                profile[key] = profile.get(key, 0) + 1
-    return profile
+    members = ((r.comorbidities, age_group(r.age_years))
+               for r in _filtered(records, cohort) if _in_subcohort(r, subcohort))
+    return Counter((name, group) for flags, group in members
+                   for name in COMORBIDITY_FIELDS if flags.get(name) is CodedFlag.YES)
 
 
 def _metric_value(report: MetricsReport, metric: RankMetric) -> float | None:
@@ -433,31 +423,35 @@ def rank_states(
 
 
 # ---------------------------------------------------------------------------
-# Cross-tabulations feeding the annex tables (see docs/tables.md).
+# Cross-tabulations feeding the annex tables (see docs/tables.md). Each is a
+# Counter over one pass of the (filtered) record stream.
+
+def _positives(
+    records: Iterable[PatientRecord],
+    cohort: CohortFilter | None,
+    deaths: bool = False,
+) -> Iterator[PatientRecord]:
+    """Confirmed positives in the cohort; with ``deaths``, only those who died."""
+    return (
+        r for r in _filtered(records, cohort)
+        if is_positive(r.classification) and (not deaths or r.death_date is not None)
+    )
+
 
 def classification_sex_tally(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
-) -> dict[tuple[CaseClassification, Sex], int]:
+) -> Counter[tuple[CaseClassification, Sex]]:
     """All records by (final classification, sex). Feeds T1/T2."""
-    tally: dict[tuple[CaseClassification, Sex], int] = {}
-    for r in _filtered(records, cohort):
-        key = (r.classification, r.sex)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
+    return Counter((r.classification, r.sex) for r in _filtered(records, cohort))
 
 
 def treatment_sex_tally(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
-) -> dict[tuple[Sex, TreatmentStrategy], int]:
+) -> Counter[tuple[Sex, TreatmentStrategy]]:
     """Confirmed positives by (sex, treatment strategy). Feeds T3."""
-    tally: dict[tuple[Sex, TreatmentStrategy], int] = {}
-    for r in _filtered(records, cohort):
-        if is_positive(r.classification):
-            key = (r.sex, r.treatment)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
+    return Counter((r.sex, r.treatment) for r in _positives(records, cohort))
 
 
 class TreatmentSplit(NamedTuple):
@@ -470,54 +464,33 @@ def state_treatment_tally(
     cohort: CohortFilter | None = None,
 ) -> dict[int, TreatmentSplit]:
     """Confirmed positives by state, split ambulatory/hospitalized. Feeds T4."""
-    amb: dict[int, int] = {}
-    hosp: dict[int, int] = {}
-    for r in _filtered(records, cohort):
-        if is_positive(r.classification):
-            if r.treatment is TreatmentStrategy.AMBULATORY:
-                amb[r.state_code] = amb.get(r.state_code, 0) + 1
-            else:
-                hosp[r.state_code] = hosp.get(r.state_code, 0) + 1
+    tally = Counter((r.state_code, r.treatment) for r in _positives(records, cohort))
     return {
-        state: TreatmentSplit(amb.get(state, 0), hosp.get(state, 0))
-        for state in sorted(amb.keys() | hosp.keys())
+        state: TreatmentSplit(tally[state, TreatmentStrategy.AMBULATORY],
+                              tally[state, TreatmentStrategy.HOSPITALIZED])
+        for state in sorted({state for state, _ in tally})
     }
 
 
 def intubation_sex_tally(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
-) -> dict[tuple[CodedFlag, Sex], int]:
+) -> Counter[tuple[CodedFlag, Sex]]:
     """Confirmed positives by (intubation flag, sex). Feeds T5."""
-    tally: dict[tuple[CodedFlag, Sex], int] = {}
-    for r in _filtered(records, cohort):
-        if is_positive(r.classification):
-            key = (r.intubated, r.sex)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
+    return Counter((r.intubated, r.sex) for r in _positives(records, cohort))
 
 
 def death_classification_sex_tally(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
-) -> dict[tuple[CaseClassification, Sex], int]:
+) -> Counter[tuple[CaseClassification, Sex]]:
     """Confirmed-positive deaths by (classification, sex). Feeds T6."""
-    tally: dict[tuple[CaseClassification, Sex], int] = {}
-    for r in _filtered(records, cohort):
-        if is_positive(r.classification) and r.death_date is not None:
-            key = (r.classification, r.sex)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
+    return Counter((r.classification, r.sex) for r in _positives(records, cohort, deaths=True))
 
 
 def death_icu_sex_tally(
     records: Iterable[PatientRecord],
     cohort: CohortFilter | None = None,
-) -> dict[tuple[CodedFlag, Sex], int]:
+) -> Counter[tuple[CodedFlag, Sex]]:
     """Confirmed-positive deaths by (ICU flag, sex). Feeds T7."""
-    tally: dict[tuple[CodedFlag, Sex], int] = {}
-    for r in _filtered(records, cohort):
-        if is_positive(r.classification) and r.death_date is not None:
-            key = (r.icu, r.sex)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
+    return Counter((r.icu, r.sex) for r in _positives(records, cohort, deaths=True))

@@ -12,17 +12,15 @@ from json import dumps
 from typing import Any, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
-from .metrics import (
-    AgeGroup,
-    MetricsReport,
-    StratumKey,
-)
+from .metrics import AgeGroup, MetricsReport, RankMetric, StratumKey, rank_states
 from .schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
     CodedFlag,
     STATE_NAMES,
     Sex,
+    TreatmentStrategy,
+    is_positive,
 )
 
 __all__ = ["TableId", "ShapeMismatch", "render", "render_severity_stack", "format_pct"]
@@ -49,6 +47,7 @@ class TableId(str, Enum):
     G5_STACK = "g5-stack"
     COMORBIDITY_PROFILE = "comorbidity-profile"
     METRICS = "metrics"
+    RANK = "rank"
 
 
 class ShapeMismatch(TypeError):
@@ -65,13 +64,11 @@ class _Pct(float):
     pass
 
 
-_SEX_ORDER = (Sex.FEMALE, Sex.MALE, Sex.UNSPECIFIED)
-_FLAG_ORDER = (CodedFlag.YES, CodedFlag.NO, CodedFlag.NOT_APPLICABLE,
-               CodedFlag.IGNORED, CodedFlag.UNSPECIFIED)
-_AGE_ORDER = (AgeGroup.Y0_20, AgeGroup.Y21_40, AgeGroup.Y41_59,
-              AgeGroup.Y60_PLUS, AgeGroup.UNKNOWN)
-_BUCKET_ORDER = (StatusBucket.MILD, StatusBucket.MODERATE,
-                 StatusBucket.SEVERE, StatusBucket.UNKNOWN)
+# Row orders follow the enums' definition order.
+_SEX_ORDER = tuple(Sex)
+_FLAG_ORDER = tuple(CodedFlag)
+_AGE_ORDER = tuple(AgeGroup)
+_BUCKET_ORDER = tuple(StatusBucket)
 
 
 def _class_sex_rows(data: Mapping, classes: tuple[CaseClassification, ...]) -> list[tuple]:
@@ -90,24 +87,22 @@ def _class_sex_rows(data: Mapping, classes: tuple[CaseClassification, ...]) -> l
     return rows
 
 
+_CLASS_SEX_COLS = ("classification_code", "classification", "female", "male", "unspecified", "total")
+
+
 def _build_t1(data: Mapping) -> tuple[tuple[str, ...], list[tuple], list[str]]:
-    cols = ("classification_code", "classification", "female", "male", "unspecified", "total")
-    return cols, _class_sex_rows(data, tuple(CaseClassification)), []
+    return _CLASS_SEX_COLS, _class_sex_rows(data, tuple(CaseClassification)), []
 
 
 def _build_t2(data: Mapping):
-    cols = ("classification_code", "classification", "female", "male", "unspecified", "total")
-    positives = (CaseClassification.CONFIRMED_BY_ASSOCIATION,
-                 CaseClassification.CONFIRMED_BY_COMMITTEE,
-                 CaseClassification.CONFIRMED_BY_LAB)
-    return cols, _class_sex_rows(data, positives), []
+    positives = tuple(c for c in CaseClassification if is_positive(c))
+    return _CLASS_SEX_COLS, _class_sex_rows(data, positives), []
 
 
 def _build_t3(data: Mapping):
     cols = ("sex", "ambulatory", "hospitalized", "total")
     rows = []
     tot_a = tot_h = 0
-    from .schema import TreatmentStrategy
     for sex in _SEX_ORDER:
         a = data.get((sex, TreatmentStrategy.AMBULATORY), 0)
         h = data.get((sex, TreatmentStrategy.HOSPITALIZED), 0)
@@ -147,14 +142,6 @@ def _flag_sex_rows(data: Mapping) -> list[tuple]:
 def _build_t5(data: Mapping):
     cols = ("flag_code", "intubated", "female", "male", "unspecified", "total")
     return cols, _flag_sex_rows(data), []
-
-
-def _build_t6(data: Mapping):
-    cols = ("classification_code", "classification", "female", "male", "unspecified", "total")
-    positives = (CaseClassification.CONFIRMED_BY_ASSOCIATION,
-                 CaseClassification.CONFIRMED_BY_COMMITTEE,
-                 CaseClassification.CONFIRMED_BY_LAB)
-    return cols, _class_sex_rows(data, positives), []
 
 
 def _build_t7(data: Mapping):
@@ -275,6 +262,18 @@ def _build_g5(data: Mapping):
     return cols, rows, trailers
 
 
+def _build_rank(data: tuple[RankMetric, Mapping[StratumKey, MetricsReport]]):
+    metric, reports = data
+    metric = RankMetric(metric)
+    cols = ("rank", "state_code", "state", f"{metric.value}_pct")
+    # The percentage is a preformatted string, so JSON carries "26.32", not 26.32.
+    rows = [
+        (rank, code, STATE_NAMES.get(code, str(code)), format_pct(value))
+        for rank, (code, value) in enumerate(rank_states(reports, metric), 1)
+    ]
+    return cols, rows, []
+
+
 def _build_comorbidity(data: Mapping):
     cols = ("comorbidity", "age_group", "count")
     rows = []
@@ -319,7 +318,7 @@ _BUILDERS = {
     TableId.T3: _build_t3,
     TableId.T4: _build_t4,
     TableId.T5: _build_t5,
-    TableId.T6: _build_t6,
+    TableId.T6: _build_t2,
     TableId.T7: _build_t7,
     TableId.T8: _build_t8,
     TableId.T9: _build_t9,
@@ -332,6 +331,7 @@ _BUILDERS = {
     TableId.G5_STACK: _build_g5,
     TableId.COMORBIDITY_PROFILE: _build_comorbidity,
     TableId.METRICS: _build_metrics,
+    TableId.RANK: _build_rank,
 }
 
 _SUMMARY_TABLES = {TableId.T10, TableId.T11, TableId.T12, TableId.T13}

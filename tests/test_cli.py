@@ -221,6 +221,16 @@ class TestRankAndCharts:
         assert [(r["state_code"], r["positivity_pct"]) for r in payload] == \
             [(20, "75.00"), (31, "0.00")]
 
+    def test_rank_markdown_matches_tsv(self, epi_file, capsys):
+        out = {}
+        for fmt in ("tsv", "markdown"):
+            assert main(["rank", "-i", epi_file, "--metric", "positivity", "-f", fmt]) == 0
+            out[fmt] = capsys.readouterr().out.splitlines()
+        header, rule, *body = out["markdown"]
+        assert rule == "| --- | --- | --- | --- |"
+        assert [line[2:-2].split(" | ") for line in (header, *body)] == \
+            [line.split("\t") for line in out["tsv"]]
+
     def test_scatter(self, epi_file, capsys):
         assert main(["scatter", "-i", epi_file]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -284,6 +294,17 @@ class TestGenomicReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "Homegrown\t1\t100.00"
         assert lines[2] == "unclassified\t3\tNA"
+
+    @pytest.mark.parametrize("argv", [["validate", "--kind", "gisaid"], ["genomic-report"]])
+    def test_overflowing_age_is_not_a_crash(self, argv, tmp_path):
+        path = tmp_path / "meta.tsv"
+        path.write_bytes(gisaid_bytes(grow(age="inf"), grow(age="1e400"), grow(age="-inf")))
+        proc = subprocess.run(
+            [sys.executable, "-m", "episurv.cli", *argv, "-i", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
 
     def test_bad_catalog_is_a_data_error(self, gisaid_file, tmp_path, capsys):
         catalog = tmp_path / "catalog.csv"

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +9,7 @@ from episurv.genomics import (
     EmptyPattern,
     MalformedSegment,
     StatusBucket,
+    VariantCatalog,
     VariantCategory,
     bucket_status,
     clade_crosstab,
@@ -299,3 +303,31 @@ class TestAggregations:
         assert block.status_buckets == {
             StatusBucket.MILD: 1, StatusBucket.SEVERE: 1, StatusBucket.UNKNOWN: 1,
         }
+
+
+@dataclass(frozen=True)
+class CountingCatalog(VariantCatalog):
+    """The default catalog, counting classify calls per lineage."""
+
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def classify(self, lineage):
+        self.calls[lineage] += 1
+        return super().classify(lineage)
+
+
+@pytest.mark.parametrize("table", [
+    variant_shares,
+    full_crosstab,
+    lambda samples, catalog: clade_crosstab(samples, catalog, "Delta"),
+    lambda samples, catalog: status_crosstab(samples, catalog, "Delta"),
+    lambda samples, catalog: state_summary(samples, catalog, "Delta", ("Oaxaca",)),
+], ids=["variant_shares", "full_crosstab", "clade_crosstab", "status_crosstab",
+        "state_summary"])
+def test_each_distinct_lineage_classified_once_per_call(table):
+    samples = [sample(lineage=lin) for lin in ("AY.20", "B.1.1.7", "XBB") for _ in range(4)]
+    catalog = CountingCatalog(DEFAULT_CATALOG.variants)
+    table(samples, catalog)
+    assert catalog.calls == {"AY.20": 1, "B.1.1.7": 1, "XBB": 1}
+    table(samples, catalog)  # the memo lives for one call only
+    assert catalog.calls == {"AY.20": 2, "B.1.1.7": 2, "XBB": 2}

@@ -318,6 +318,14 @@ def test_gisaid_age_parsing():
     assert stream.stats.rows_rejected == 0
 
 
+@pytest.mark.parametrize("raw", ["inf", "-inf", "1e400", "Infinity", "nan"])
+def test_gisaid_non_finite_age_degrades_to_unknown(raw):
+    stream = ingest_gisaid(gisaid_bytes(grow(age=raw)))
+    [s] = list(stream.records())
+    assert s.age_years is None
+    assert stream.stats.rows_rejected == 0
+
+
 def test_gisaid_sex_spellings():
     stream = ingest_gisaid(gisaid_bytes(
         grow(sex="female"), grow(sex="F"), grow(sex="Mujer"),

@@ -146,11 +146,12 @@ def _write(data: bytes, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     if args.kind == "gisaid":
         stream = ingest_gisaid(args.input, encoding=args.encoding)
+        for _ in stream:
+            pass
     else:
         stream = ingest_sveerv(args.input, delimiter=args.delimiter,
                                encoding=args.encoding)
-    for _ in stream:
-        pass
+        stream.count(())  # the batch path: only the counters are reported
     _write(validate_report(stream.stats).encode("utf-8"), args.out)
     return 0
 
@@ -170,14 +171,13 @@ def _cmd_epi_report(args) -> int:
     cohort = _cohort_from(args)
     stream = ingest_sveerv(args.input, delimiter=args.delimiter,
                            encoding=args.encoding)
-    records = stream.records()
     if args.table in _EPI_TALLIES:
-        data = _EPI_TALLIES[args.table](records, cohort)
+        data = _EPI_TALLIES[args.table](stream, cohort)
     elif args.table == "comorbidity-profile":
-        data = comorbidity_profile(records, cohort, Subcohort(args.subcohort))
+        data = comorbidity_profile(stream, cohort, Subcohort(args.subcohort))
     else:
         data = stratified_report(
-            records, cohort, args.group_by,
+            stream, cohort, args.group_by,
             SeverityCriterion(args.severity_rule),
             PositivityMode(args.positivity),
         )
@@ -213,7 +213,7 @@ def _state_reports(args) -> dict[StratumKey, MetricsReport]:
     stream = ingest_sveerv(args.input, delimiter=args.delimiter,
                            encoding=args.encoding)
     reports = stratified_report(
-        stream.records(), _cohort_from(args), ("state",),
+        stream, _cohort_from(args), ("state",),
         SeverityCriterion(args.severity_rule),
         PositivityMode(args.positivity),
     )

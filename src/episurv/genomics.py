@@ -358,14 +358,14 @@ class StateBlock:
     age_sex: Counter[tuple[AgeGroup, Sex]] = field(default_factory=Counter)
     status_buckets: Counter[StatusBucket] = field(default_factory=Counter)
 
-    def _add(self, sample: SampleRecord) -> None:
+    def _add(self, sample: SampleRecord, status: StatusBucket) -> None:
         self.total += 1
         self.clades[sample.gisaid_clade] += 1
         self.sexes[sample.sex] += 1
         if sample.vaccine is not None:
             self.vaccines[sample.vaccine] += 1
         self.age_sex[age_group(sample.age_years), sample.sex] += 1
-        self.status_buckets[bucket_status(sample.patient_status)] += 1
+        self.status_buckets[status] += 1
 
 
 @dataclass
@@ -386,16 +386,20 @@ def state_summary(
     """Per-state demographic/vaccination/severity blocks for one variant.
 
     State names match after fold_text normalization; the totals block covers
-    exactly the matched states.
+    exactly the matched states. Each distinct state and status text is
+    normalized once per call, not once per sample.
     """
     wanted = _canonical_label(who_label)
     order = list(states)
     blocks = {name: StateBlock() for name in order}
-    lookup = {fold_text(name): name for name in order}
+    fold = functools.cache(fold_text)
+    bucket = functools.cache(bucket_status)
+    lookup = {fold(name): name for name in order}
     totals = StateBlock()
     for sample in _of_label(samples, catalog, wanted):
-        name = lookup.get(fold_text(sample.state))
+        name = lookup.get(fold(sample.state))
         if name is not None:
-            blocks[name]._add(sample)
-            totals._add(sample)
+            status = bucket(sample.patient_status)
+            blocks[name]._add(sample, status)
+            totals._add(sample, status)
     return StateSummary(who_label=wanted, per_state=blocks, totals=totals)

@@ -11,15 +11,24 @@ counters (CaseCounts) and then to rates:
 CaseCounts merge field-wise, so shards of a file can be accumulated
 independently and combined; rates for an empty denominator are Undefined
 (returned as None), never 0 and never NaN.
+
+The table functions (the tallies, comorbidity_profile, stratified_report)
+count one Counter keyed by just the dimensions the table reads and project
+it. They take records, or a SveervStream, which they count by its
+batch-columnar fold without building records.
 """
 
 import dataclasses
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .ingest import SveervStream
 from .schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -92,20 +101,32 @@ class CohortFilter:
     sexes: frozenset[Sex] | None = None
     onset_range: tuple[date, date] | None = None
 
-    def matches(self, r: PatientRecord) -> bool:
-        if self.indigenous_only and r.speaks_indigenous_language is not CodedFlag.YES:
-            return False
-        if self.states is not None and r.state_code not in self.states:
-            return False
-        if self.municipalities is not None and r.municipality_code not in self.municipalities:
-            return False
-        if self.sexes is not None and r.sex not in self.sexes:
-            return False
+    @functools.cached_property
+    def _predicates(self) -> tuple[tuple[str, Callable[[object], bool]], ...]:
+        """The filter as (PatientRecord field, test of its value) pairs, all of
+        which a record must pass."""
+        preds = []
+        if self.indigenous_only:
+            preds.append(("speaks_indigenous_language", _is_yes))
+        if self.states is not None:
+            preds.append(("state_code", self.states.__contains__))
+        if self.municipalities is not None:
+            preds.append(("municipality_code", self.municipalities.__contains__))
+        if self.sexes is not None:
+            preds.append(("sex", self.sexes.__contains__))
         if self.onset_range is not None:
-            onset = r.symptom_onset_date
-            if onset is None or not self.onset_range[0] <= onset <= self.onset_range[1]:
-                return False
-        return True
+            preds.append(("symptom_onset_date", functools.partial(_within, *self.onset_range)))
+        return tuple(preds)
+
+    def matches(self, r: PatientRecord) -> bool:
+        return all(test(getattr(r, field)) for field, test in self._predicates)
+
+
+_is_yes = functools.partial(operator.is_, CodedFlag.YES)
+
+
+def _within(start: date, end: date, day: date | None) -> bool:
+    return day is not None and start <= day <= end
 
 
 class StratumKey(NamedTuple):
@@ -318,14 +339,91 @@ def build_report(
     )
 
 
-def _filtered(records: Iterable[PatientRecord], cohort: CohortFilter | None) -> Iterator[PatientRecord]:
-    if cohort is None:
-        return iter(records)
-    return (r for r in records if cohort.matches(r))
+# ---------------------------------------------------------------------------
+# Counting. Every case table is a projection of one Counter keyed by just the
+# dimensions the table reads. A dimension is a PatientRecord field (or a
+# comorbidity name) and an optional function of the field's value; a filter
+# is such a dimension whose function returns a bool.
+
+_Dim = tuple[str, Callable | None]
+
+_CLASSIFICATION: _Dim = ("classification", None)
+_SEX: _Dim = ("sex", None)
+_TREATMENT: _Dim = ("treatment", None)
+_STATE: _Dim = ("state_code", None)
+_INTUBATED: _Dim = ("intubated", None)
+_ICU: _Dim = ("icu", None)
+_POSITIVE: _Dim = ("classification", is_positive)
+_DIED: _Dim = ("death_date", functools.partial(operator.is_not, None))
+_AGE_GROUP: _Dim = ("age_years", age_group)
+
+_GROUP_DIMS: dict[str, _Dim] = {
+    "state": _STATE,
+    "municipality": ("municipality_code", None),
+    "sex": _SEX,
+    "age_group": _AGE_GROUP,
+}
+
+_CELL_DIMS = (_CLASSIFICATION, _TREATMENT, _ICU, _INTUBATED, _DIED)
+
+
+class _Cell(NamedTuple):
+    """What CaseCounts.add reads of a record: one cell of _CELL_DIMS."""
+
+    classification: CaseClassification
+    treatment: TreatmentStrategy
+    icu: CodedFlag
+    intubated: CodedFlag
+    death_date: object  # None when alive
+
+
+def _field_getter(field: str) -> Callable[[PatientRecord], object]:
+    if field in COMORBIDITY_FIELDS:
+        return lambda r: r.comorbidities.get(field)
+    return operator.attrgetter(field)
+
+
+def _count(records: Iterable[PatientRecord] | SveervStream, dims: Sequence[_Dim]) -> Counter[tuple]:
+    """Records counted by ``dims`` in one pass. A SveervStream is counted by
+    its batch-columnar fold, anything else record by record; the two agree."""
+    if isinstance(records, SveervStream):
+        return records.count(dims)
+    keys = []
+    for field, fn in dims:
+        get = _field_getter(field)
+        keys.append(get if fn is None else (lambda r, get=get, fn=fn: fn(get(r))))
+    return Counter(tuple([key(r) for key in keys]) for r in records)
+
+
+def _tally(
+    records: Iterable[PatientRecord] | SveervStream,
+    cohort: CohortFilter | None,
+    dims: Sequence[_Dim],
+    where: Sequence[_Dim] = (),
+) -> Counter[tuple]:
+    """Counts by ``dims`` of the records in the cohort that pass ``where``.
+
+    Filters are counted as leading bool dimensions and dropped from the keys
+    here, so a cohort costs one lookup per distinct raw value on the batch path.
+    """
+    where = (cohort._predicates if cohort is not None else ()) + tuple(where)
+    cube = _count(records, where + tuple(dims))
+    if not where:
+        return cube
+    m = len(where)
+    return Counter({key[m:]: n for key, n in cube.items() if all(key[:m])})
+
+
+def _cell_counts(cell: tuple) -> tuple[int, ...]:
+    """The CaseCounts fields one record of a (classification, treatment, icu,
+    intubated, died) cell adds, in _COUNT_FIELDS order."""
+    counts = CaseCounts()
+    counts.add(_Cell(*cell[:4], cell[4] or None))
+    return tuple(getattr(counts, name) for name in _COUNT_FIELDS)
 
 
 def stratified_report(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
     group_by: Sequence[str] = (),
     criterion: SeverityCriterion = SeverityCriterion.ICU_AND_INTUBATION,
@@ -335,51 +433,49 @@ def stratified_report(
 
     ``group_by`` names dimensions from GROUP_DIMENSIONS. The result always
     contains the all-None key holding the whole-cohort report, computed as
-    the merge of the leaf strata.
+    the merge of the leaf strata. Each leaf's CaseCounts is a projection of
+    one Counter keyed by the group dimensions and the (classification,
+    treatment, icu, intubated, died) cell of each record.
     """
     unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
     if unknown:
         raise ValueError(f"unknown group_by dimension(s): {', '.join(unknown)}")
-    use = tuple(dim in group_by for dim in GROUP_DIMENSIONS)
-    leaves: dict[StratumKey, CaseCounts] = {}
-    for r in _filtered(records, cohort):
-        key = StratumKey(
-            state=r.state_code if use[0] else None,
-            municipality=r.municipality_code if use[1] else None,
-            sex=r.sex if use[2] else None,
-            age_group=age_group(r.age_years) if use[3] else None,
-        )
-        counts = leaves.get(key)
-        if counts is None:
-            counts = leaves[key] = CaseCounts()
-        counts.add(r)
+    used = [name for name in GROUP_DIMENSIONS if name in group_by]
+    g = len(used)
+    cell_counts = functools.cache(_cell_counts)
+    sums: dict[tuple, list[int]] = {}
+    for key, n in _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS)).items():
+        add = map(operator.mul, cell_counts(key[g:]), repeat(n))
+        acc = sums.get(key[:g])
+        if acc is None:
+            sums[key[:g]] = list(add)
+        else:
+            acc[:] = map(operator.add, acc, add)
 
     out: dict[StratumKey, MetricsReport] = {}
-    national = CaseCounts()
-    for key, counts in leaves.items():
-        national = merge(national, counts)
+    for leaf, acc in sums.items():
+        key = StratumKey(**dict(zip(used, leaf)))
         if key != StratumKey():
-            out[key] = build_report(counts, criterion, positivity)
+            out[key] = build_report(CaseCounts(*acc), criterion, positivity)
+    national = CaseCounts(*map(sum, zip(*sums.values())))  # the merge of the leaves
     out[StratumKey()] = build_report(national, criterion, positivity)
     return out
 
 
-def _in_subcohort(r: PatientRecord, subcohort: Subcohort) -> bool:
-    if not is_positive(r.classification):
-        return False
-    if subcohort is Subcohort.HOSPITALIZED_POSITIVE:
-        return r.treatment is TreatmentStrategy.HOSPITALIZED
-    if subcohort is Subcohort.DEATHS_POSITIVE:
-        return r.death_date is not None
-    return (
-        r.death_date is not None
-        and r.icu is CodedFlag.YES
-        and r.intubated is CodedFlag.YES
-    )
+_HOSPITALIZED: _Dim = ("treatment", functools.partial(operator.is_, TreatmentStrategy.HOSPITALIZED))
+_SUBCOHORTS: dict[Subcohort, tuple[_Dim, ...]] = {
+    Subcohort.HOSPITALIZED_POSITIVE: (_POSITIVE, _HOSPITALIZED),
+    Subcohort.DEATHS_POSITIVE: (_POSITIVE, _DIED),
+    Subcohort.DEATHS_ICU_INTUBATED: (
+        _POSITIVE, _DIED,
+        ("icu", _is_yes),
+        ("intubated", _is_yes),
+    ),
+}
 
 
 def comorbidity_profile(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
     subcohort: Subcohort = Subcohort.DEATHS_ICU_INTUBATED,
 ) -> Counter[tuple[str, AgeGroup]]:
@@ -388,10 +484,13 @@ def comorbidity_profile(
     Escape codes (97/98/99) and NO do not count. Empty subcohort gives an
     empty map.
     """
-    members = ((r.comorbidities, age_group(r.age_years))
-               for r in _filtered(records, cohort) if _in_subcohort(r, subcohort))
-    return Counter((name, group) for flags, group in members
-                   for name in COMORBIDITY_FIELDS if flags.get(name) is CodedFlag.YES)
+    dims = [_AGE_GROUP] + [(name, None) for name in COMORBIDITY_FIELDS]
+    profile: Counter[tuple[str, AgeGroup]] = Counter()
+    for (group, *flags), n in _tally(records, cohort, dims, _SUBCOHORTS[subcohort]).items():
+        for name, flag in zip(COMORBIDITY_FIELDS, flags):
+            if flag is CodedFlag.YES:
+                profile[name, group] += n
+    return profile
 
 
 def _metric_value(report: MetricsReport, metric: RankMetric) -> float | None:
@@ -424,34 +523,22 @@ def rank_states(
 
 # ---------------------------------------------------------------------------
 # Cross-tabulations feeding the annex tables (see docs/tables.md). Each is a
-# Counter over one pass of the (filtered) record stream.
-
-def _positives(
-    records: Iterable[PatientRecord],
-    cohort: CohortFilter | None,
-    deaths: bool = False,
-) -> Iterator[PatientRecord]:
-    """Confirmed positives in the cohort; with ``deaths``, only those who died."""
-    return (
-        r for r in _filtered(records, cohort)
-        if is_positive(r.classification) and (not deaths or r.death_date is not None)
-    )
-
+# Counter from one pass of the record stream (see _tally).
 
 def classification_sex_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> Counter[tuple[CaseClassification, Sex]]:
     """All records by (final classification, sex). Feeds T1/T2."""
-    return Counter((r.classification, r.sex) for r in _filtered(records, cohort))
+    return _tally(records, cohort, (_CLASSIFICATION, _SEX))
 
 
 def treatment_sex_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> Counter[tuple[Sex, TreatmentStrategy]]:
     """Confirmed positives by (sex, treatment strategy). Feeds T3."""
-    return Counter((r.sex, r.treatment) for r in _positives(records, cohort))
+    return _tally(records, cohort, (_SEX, _TREATMENT), (_POSITIVE,))
 
 
 class TreatmentSplit(NamedTuple):
@@ -460,11 +547,11 @@ class TreatmentSplit(NamedTuple):
 
 
 def state_treatment_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> dict[int, TreatmentSplit]:
     """Confirmed positives by state, split ambulatory/hospitalized. Feeds T4."""
-    tally = Counter((r.state_code, r.treatment) for r in _positives(records, cohort))
+    tally = _tally(records, cohort, (_STATE, _TREATMENT), (_POSITIVE,))
     return {
         state: TreatmentSplit(tally[state, TreatmentStrategy.AMBULATORY],
                               tally[state, TreatmentStrategy.HOSPITALIZED])
@@ -473,24 +560,24 @@ def state_treatment_tally(
 
 
 def intubation_sex_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> Counter[tuple[CodedFlag, Sex]]:
     """Confirmed positives by (intubation flag, sex). Feeds T5."""
-    return Counter((r.intubated, r.sex) for r in _positives(records, cohort))
+    return _tally(records, cohort, (_INTUBATED, _SEX), (_POSITIVE,))
 
 
 def death_classification_sex_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> Counter[tuple[CaseClassification, Sex]]:
     """Confirmed-positive deaths by (classification, sex). Feeds T6."""
-    return Counter((r.classification, r.sex) for r in _positives(records, cohort, deaths=True))
+    return _tally(records, cohort, (_CLASSIFICATION, _SEX), (_POSITIVE, _DIED))
 
 
 def death_icu_sex_tally(
-    records: Iterable[PatientRecord],
+    records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None = None,
 ) -> Counter[tuple[CodedFlag, Sex]]:
     """Confirmed-positive deaths by (ICU flag, sex). Feeds T7."""
-    return Counter((r.icu, r.sex) for r in _positives(records, cohort, deaths=True))
+    return _tally(records, cohort, (_ICU, _SEX), (_POSITIVE, _DIED))

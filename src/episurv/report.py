@@ -8,7 +8,8 @@ data shape its builder expects.
 
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from json import dumps
+from json import JSONEncoder
+from operator import attrgetter
 from typing import Any, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
@@ -290,6 +291,8 @@ _COUNT_COLS = ("total", "positive", "negative", "suspect", "invalid", "not_perfo
                "ambulatory_pos", "hospitalized_pos", "icu_pos", "intubated_pos",
                "icu_and_intubated_pos", "deaths_pos", "deaths_icu_intubated_pos")
 _RATE_COLS = ("fatality_pct", "positivity_pct", "tgi1_pct", "tgi2_pct", "tgi3_pct")
+_counts_of = attrgetter(*_COUNT_COLS)
+_rates_of = attrgetter(*_RATE_COLS)
 
 
 def _build_metrics(data: Mapping):
@@ -303,12 +306,8 @@ def _build_metrics(data: Mapping):
             "all" if key.sex is None else key.sex.value,
             "all" if key.age_group is None else key.age_group.value,
         )
-        counts = tuple(getattr(report.counts, name) for name in _COUNT_COLS)
-        rates = tuple(
-            None if getattr(report, name) is None else _Pct(getattr(report, name))
-            for name in _RATE_COLS
-        )
-        rows.append(dims + counts + rates)
+        rates = tuple(None if rate is None else _Pct(rate) for rate in _rates_of(report))
+        rows.append(dims + _counts_of(report.counts) + rates)
     return cols, rows, []
 
 
@@ -345,6 +344,9 @@ def _cell_text(cell: Any) -> str:
     return str(cell)
 
 
+_JSON = JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) uses
+
+
 def _cell_json(cell: Any) -> Any:
     if isinstance(cell, _Pct):
         return float(format_pct(cell))
@@ -372,11 +374,15 @@ def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
         raise ShapeMismatch(f"table {table_id.value}: {exc}") from exc
 
     if fmt == "json":
-        payload = [
-            {col: _cell_json(cell) for col, cell in zip(cols, row)}
-            for row in rows
-        ]
-        return (dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
+        # One encode per row, joined as json.dumps joins list items (", "):
+        # the same bytes without holding every row as a dict, nor the text as str.
+        out = bytearray(b"[")
+        for i, row in enumerate(rows):
+            if i:
+                out += b", "
+            out += _JSON.encode(dict(zip(cols, map(_cell_json, row)))).encode("utf-8")
+        out += b"]\n"
+        return bytes(out)
 
     if fmt == "markdown":
         lines = ["| " + " | ".join(cols) + " |",

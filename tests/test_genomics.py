@@ -331,3 +331,23 @@ def test_each_distinct_lineage_classified_once_per_call(table):
     assert catalog.calls == {"AY.20": 1, "B.1.1.7": 1, "XBB": 1}
     table(samples, catalog)  # the memo lives for one call only
     assert catalog.calls == {"AY.20": 2, "B.1.1.7": 2, "XBB": 2}
+
+
+def test_each_distinct_state_and_status_folded_once_per_call(monkeypatch):
+    from episurv import genomics
+
+    calls = Counter()
+
+    def counting_fold(text):
+        calls[text] += 1
+        return fold_text(text)
+
+    monkeypatch.setattr(genomics, "fold_text", counting_fold)
+    samples = [sample(state=state, status=status)
+               for state in ("Oaxaca", "Puebla", "Sonora")
+               for status in ("Ambulatorio", "Fallecido") for _ in range(3)]
+    summary = state_summary(samples, states=("Oaxaca", "Puebla"))
+    assert summary.totals.total == 12
+    assert calls == {"Oaxaca": 1, "Puebla": 1, "Sonora": 1, "Ambulatorio": 1, "Fallecido": 1}
+    state_summary(samples, states=("Oaxaca", "Puebla"))  # the memo lives for one call only
+    assert calls == {"Oaxaca": 2, "Puebla": 2, "Sonora": 2, "Ambulatorio": 2, "Fallecido": 2}

@@ -1,9 +1,11 @@
 import io
+from collections import Counter
 from datetime import date
 
 import pytest
 
 from episurv.ingest import (
+    BATCH_ROWS,
     GISAID_COLUMNS,
     MissingRequiredColumn,
     RowError,
@@ -341,3 +343,81 @@ def test_gisaid_file_object_not_closed():
     stream = ingest_gisaid(buf)
     list(stream)
     assert not buf.closed
+
+
+# --- one whitespace rule, and the batch path ----------------------------------
+
+CODED_COLUMNS = tuple(c for c in SVEERV_COLUMNS if c not in ("FECHA_DEF", "FECHA_SINTOMAS"))
+
+
+def _both_paths(data: bytes):
+    """(records, stats) by iterating, and (count, stats) by the batch path."""
+    stream = ingest_sveerv(data)
+    records = list(stream.records())
+    batch = ingest_sveerv(data)
+    counts = batch.count([("classification", None), ("sex", None), ("state_code", None),
+                          ("age_years", None), ("icu", None), ("diabetes", None)])
+    return records, stream.stats, counts, batch.stats
+
+
+@pytest.mark.parametrize("column", CODED_COLUMNS)
+@pytest.mark.parametrize("pad", [" {} ", "\t{}", "{}  "])
+def test_every_coded_column_strips_whitespace(column, pad):
+    plain = row(SEXO="2", UCI="1")
+    cells = dict(zip(SVEERV_COLUMNS, plain.split(",")))
+    padded = row(**{**cells, column: pad.format(cells[column])})
+    records, stats, counts, batch_stats = _both_paths(csv_bytes(plain, padded))
+    assert stats.rows_accepted == 2, stats.rejection_reasons
+    assert records[0] == records[1]
+    assert batch_stats == stats
+    assert counts == {(CaseClassification.CONFIRMED_BY_LAB, Sex.MALE, 20, 34,
+                       CodedFlag.YES, CodedFlag.NO): 2}
+
+
+def test_blank_age_after_stripping_is_unknown():
+    [r] = list(ingest_sveerv(csv_bytes(row(EDAD="  "))).records())
+    assert r.age_years is None
+
+
+@pytest.mark.parametrize("column", ["FECHA_DEF", "FECHA_SINTOMAS"])
+def test_date_columns_are_read_verbatim(column):
+    stream = ingest_sveerv(csv_bytes(row(**{column: " 2021-07-02"})))
+    [err] = list(stream)
+    assert err.reason == "BadDate"
+
+
+def test_line_numbers_are_physical_lines_after_a_multiline_field():
+    header = HEADER + ",NOTA"
+    data = "\n".join([
+        header,
+        row() + ',"first line\nsecond line\nthird line"',  # lines 2-4
+        row(EDAD="999") + ",x",                             # line 5
+        "",                                                 # line 6, blank
+        row(UCI="7") + ',"a\nb"',                           # lines 7-8
+        row(SEXO="?") + ",y",                               # line 9
+    ]) + "\n"
+    errors = [e for e in ingest_sveerv(data.encode()) if isinstance(e, RowError)]
+    assert [(e.line_no, e.reason) for e in errors] == [
+        (5, "AgeOutOfRange"), (7, "UnknownCode"), (9, "BadInteger")]
+
+
+def test_gisaid_line_numbers_are_physical_lines():
+    data = gisaid_bytes(grow(patient_status='"Ambulatorio\nsegunda linea"'), grow(pango_lineage=""))
+    [err] = [e for e in ingest_gisaid(data) if isinstance(e, RowError)]
+    assert (err.line_no, err.reason) == (4, "EmptyLineage")
+
+
+def test_batch_path_matches_iteration_across_batches():
+    rows = [row(EDAD=str(i % 120)) for i in range(BATCH_ROWS * 2 + 7)]
+    rows[BATCH_ROWS - 1] = row(CLASIFICACION_FINAL="9")
+    rows[BATCH_ROWS] = "1,2,3"
+    rows[BATCH_ROWS + 1] = row(DIABETES=" 1 ", ENTIDAD_RES="007")
+    rows.insert(BATCH_ROWS + 2, "")
+    records, stats, counts, batch_stats = _both_paths(csv_bytes(*rows))
+    assert batch_stats == stats
+    assert stats.rejection_reasons == {"UnknownCode": 1, "FieldCount": 1}
+    assert sum(counts.values()) == len(records) == BATCH_ROWS * 2 + 5
+    assert counts == Counter((r.classification, r.sex, r.state_code, r.age_years, r.icu,
+                              r.comorbidities["diabetes"]) for r in records)
+    assert counts[CaseClassification.CONFIRMED_BY_LAB, Sex.FEMALE, 7, 34,
+                  CodedFlag.NOT_APPLICABLE, CodedFlag.YES] == 1

@@ -261,3 +261,19 @@ class TestRenderContract:
     def test_every_table_id_has_a_builder(self):
         from episurv.report import _BUILDERS
         assert set(_BUILDERS) == set(TableId)
+
+
+@pytest.mark.parametrize("table,data", [
+    (TableId.COMORBIDITY_PROFILE, {}),
+    (TableId.T12, None),
+    (TableId.METRICS, None),
+])
+def test_json_is_byte_identical_to_dumps_of_the_row_list(table, data):
+    records = [make_record(state_code=s, age_years=a) for s in (5, 20, 21) for a in (10, 70, None)]
+    if table is TableId.T12:
+        data = state_summary([sample(state="Puebla", vaccine="Sputnik V"),
+                              sample(state="Puebla", vaccine="Vacuna Pátria")], states=["Puebla"])
+    elif table is TableId.METRICS:
+        data = stratified_report(records, group_by=("state", "age_group"))
+    out = render(table, data, "json")
+    assert out == (json.dumps(json.loads(out), ensure_ascii=False) + "\n").encode("utf-8")

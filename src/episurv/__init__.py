@@ -3,8 +3,9 @@
 The pipeline is ingest -> metrics/genomics -> report: streaming readers
 decode rows into typed records, mergeable accumulators and tallies reduce
 them, and the report module renders the standard tables deterministically.
-fixtures generates synthetic datasets whose re-aggregation reproduces given
-marginal tables exactly.
+``episurv.fixtures`` (imported on its own, not re-exported here) generates
+synthetic datasets whose re-aggregation reproduces given marginal tables
+exactly.
 """
 
 from .schema import (
@@ -73,21 +74,6 @@ from .genomics import (
     variant_shares,
 )
 from .report import ShapeMismatch, TableId, format_pct, render, render_severity_stack
-from .fixtures import (
-    EpiMarginalSpec,
-    GenomicBlockSpec,
-    GenomicMarginalSpec,
-    InconsistentMarginals,
-    UnknownPreset,
-    generate_epi_fixture,
-    generate_fixture,
-    generate_genomic_fixture,
-    list_presets,
-    load_preset,
-    oracle_aggregate,
-    random_patient_records,
-    write_sveerv_csv,
-)
 
 __version__ = "0.1.0"
 
@@ -113,9 +99,4 @@ __all__ = [
     "status_crosstab", "variant_shares",
     # report
     "ShapeMismatch", "TableId", "format_pct", "render", "render_severity_stack",
-    # fixtures
-    "EpiMarginalSpec", "GenomicBlockSpec", "GenomicMarginalSpec",
-    "InconsistentMarginals", "UnknownPreset", "generate_epi_fixture",
-    "generate_fixture", "generate_genomic_fixture", "list_presets",
-    "load_preset", "oracle_aggregate", "random_patient_records", "write_sveerv_csv",
 ]

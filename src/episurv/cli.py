@@ -6,8 +6,8 @@ metrics, ``genomic-report`` renders variant tables from sequence metadata,
 ``rank``/``scatter``/``severity`` produce the chart-feeding per-state outputs,
 and ``fixture-gen`` writes synthetic datasets from shipped presets.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, missing
-columns, inconsistent marginals, unknown preset).
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, malformed
+CSV, missing columns, inconsistent marginals, unknown preset).
 """
 
 import argparse
@@ -16,13 +16,6 @@ from datetime import date
 from pathlib import Path
 from typing import Sequence
 
-from .fixtures import (
-    InconsistentMarginals,
-    UnknownPreset,
-    generate_fixture,
-    list_presets,
-    load_preset,
-)
 from .genomics import (
     DEFAULT_CATALOG,
     full_crosstab,
@@ -31,12 +24,7 @@ from .genomics import (
     status_crosstab,
     variant_shares,
 )
-from .ingest import (
-    MissingRequiredColumn,
-    ingest_gisaid,
-    ingest_sveerv,
-    validate_report,
-)
+from .ingest import ingest_gisaid, ingest_sveerv, validate_report
 from .metrics import (
     CohortFilter,
     GROUP_DIMENSIONS,
@@ -60,15 +48,9 @@ from .schema import Sex
 
 __all__ = ["main"]
 
-_DATA_ERRORS = (
-    OSError,
-    MissingRequiredColumn,
-    InconsistentMarginals,
-    UnknownPreset,
-    ShapeMismatch,
-    UnicodeDecodeError,
-    ValueError,
-)
+# ValueError covers MissingRequiredColumn, UnicodeDecodeError, malformed CSV
+# and the fixtures module's InconsistentMarginals and UnknownPreset.
+_DATA_ERRORS = (OSError, ShapeMismatch, ValueError)
 
 _FATALITY_NOTE = (
     "note: record-level fatality computes to 15.60 per 100 positives for this"
@@ -146,12 +128,10 @@ def _write(data: bytes, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     if args.kind == "gisaid":
         stream = ingest_gisaid(args.input, encoding=args.encoding)
-        for _ in stream:
-            pass
     else:
         stream = ingest_sveerv(args.input, delimiter=args.delimiter,
                                encoding=args.encoding)
-        stream.count(())  # the batch path: only the counters are reported
+    stream.count(())  # the batch path: only the counters are reported
     _write(validate_report(stream.stats).encode("utf-8"), args.out)
     return 0
 
@@ -194,15 +174,14 @@ def _cmd_epi_report(args) -> int:
 def _cmd_genomic_report(args) -> int:
     catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
     stream = ingest_gisaid(args.input, encoding=args.encoding)
-    samples = stream.records()
     if args.table == "g3-shares":
-        data = variant_shares(samples, catalog)
+        data = variant_shares(stream, catalog)
     elif args.table == "t8":
-        data = full_crosstab(samples, catalog)
+        data = full_crosstab(stream, catalog)
     elif args.table == "t9":
-        data = status_crosstab(samples, catalog, args.label)
+        data = status_crosstab(stream, catalog, args.label)
     else:
-        data = state_summary(samples, catalog, args.label, args.states)
+        data = state_summary(stream, catalog, args.label, args.states)
     _progress(stream.stats)
     _write(render(TableId(args.table), data, args.format), args.out)
     return 0
@@ -238,6 +217,8 @@ def _cmd_severity(args) -> int:
 
 
 def _cmd_fixture_gen(args) -> int:
+    from .fixtures import generate_fixture, list_presets, load_preset  # only this command needs them
+
     if args.list:
         _write(("\n".join(list_presets()) + "\n").encode(), args.out)
         return 0

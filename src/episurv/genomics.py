@@ -4,6 +4,12 @@ Classification is by Pango lineage only: a catalog entry's clade set is
 reporting metadata for cross-tabulations, never a match input. Patterns use
 "+" to separate alternative lineages and a trailing ".x"/".X" to include a
 lineage's descendants, e.g. "B.1.617.2+AY.x".
+
+Every table (variant_shares, the crosstabs, state_summary) is a projection
+of one Counter keyed by the decoded dimensions it reads: the lineage's label,
+the requested state a division folds to, the status bucket, the age group.
+A table takes records, or a GisaidStream, which it counts by the stream's
+batch-columnar fold (GisaidStream.count) without building a SampleRecord.
 """
 
 import csv
@@ -12,9 +18,17 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .ingest import LINEAGE_RE, MissingRequiredColumn, SampleRecord, _open_source
+from .ingest import (
+    LINEAGE_RE,
+    GisaidStream,
+    MissingRequiredColumn,
+    SampleRecord,
+    _count,
+    _Dim,
+    _open_source,
+)
 from .metrics import AgeGroup, age_group
 from .schema import Sex
 
@@ -278,6 +292,10 @@ def bucket_status(patient_status: str) -> StatusBucket:
     return _STATUS_BUCKETS.get(fold_text(patient_status), StatusBucket.UNKNOWN)
 
 
+_LINEAGE: _Dim = ("pango_lineage", None)
+_CLADE: _Dim = ("gisaid_clade", None)
+
+
 @dataclass(frozen=True)
 class VariantShares:
     """Per-label counts with shares of the classified total."""
@@ -287,25 +305,31 @@ class VariantShares:
     unclassified: int
 
 
-def _labelled(
-    samples: Iterable[SampleRecord], catalog: VariantCatalog,
-) -> Iterator[tuple[str | None, SampleRecord]]:
-    """(who_label or None, sample) pairs; each distinct lineage is classified
+def _label(catalog: VariantCatalog) -> _Dim:
+    """The who_label (or None) dimension; each distinct lineage is classified
     once per call, not once per sample."""
-    classify = functools.cache(catalog.classify)
-    return ((classify(sample.pango_lineage), sample) for sample in samples)
+    return ("pango_lineage", functools.cache(catalog.classify))
 
 
-def _of_label(
-    samples: Iterable[SampleRecord], catalog: VariantCatalog, who_label: str,
-) -> Iterator[SampleRecord]:
+def _count_of_label(
+    samples: Iterable[SampleRecord] | GisaidStream,
+    catalog: VariantCatalog,
+    who_label: str,
+    dims: Sequence[_Dim],
+) -> Counter[tuple]:
+    """Counts by ``dims`` of the samples classified as ``who_label``."""
     wanted = _canonical_label(who_label)
-    return (sample for label, sample in _labelled(samples, catalog) if label == wanted)
+    classify = functools.cache(catalog.classify)
+    cube = _count(samples, [("pango_lineage", lambda lineage: classify(lineage) == wanted), *dims])
+    return Counter({key[1:]: n for key, n in cube.items() if key[0]})
 
 
-def variant_shares(samples: Iterable[SampleRecord], catalog: VariantCatalog = DEFAULT_CATALOG) -> VariantShares:
+def variant_shares(
+    samples: Iterable[SampleRecord] | GisaidStream,
+    catalog: VariantCatalog = DEFAULT_CATALOG,
+) -> VariantShares:
     """Count samples per who_label; share denominators exclude unclassified."""
-    counts = Counter(label for label, _ in _labelled(samples, catalog))
+    counts = Counter({label: n for (label,), n in _count(samples, [_label(catalog)]).items()})
     unclassified = counts.pop(None, 0)
     classified = sum(counts.values())
     shares = {
@@ -317,33 +341,32 @@ def variant_shares(samples: Iterable[SampleRecord], catalog: VariantCatalog = DE
 
 
 def clade_crosstab(
-    samples: Iterable[SampleRecord],
+    samples: Iterable[SampleRecord] | GisaidStream,
     catalog: VariantCatalog = DEFAULT_CATALOG,
     who_label: str = "Delta",
 ) -> Counter[tuple[str, str]]:
     """(lineage, clade) counts within one variant."""
-    return Counter((s.pango_lineage, s.gisaid_clade) for s in _of_label(samples, catalog, who_label))
+    return _count_of_label(samples, catalog, who_label, [_LINEAGE, _CLADE])
 
 
 def status_crosstab(
-    samples: Iterable[SampleRecord],
+    samples: Iterable[SampleRecord] | GisaidStream,
     catalog: VariantCatalog = DEFAULT_CATALOG,
     who_label: str = "Delta",
 ) -> Counter[tuple[str, str]]:
     """(verbatim patient status, clade) counts within one variant."""
-    return Counter((s.patient_status, s.gisaid_clade) for s in _of_label(samples, catalog, who_label))
+    return _count_of_label(samples, catalog, who_label, [("patient_status", None), _CLADE])
 
 
 def full_crosstab(
-    samples: Iterable[SampleRecord],
+    samples: Iterable[SampleRecord] | GisaidStream,
     catalog: VariantCatalog = DEFAULT_CATALOG,
 ) -> dict[str, Counter[tuple[str, str]]]:
     """(lineage, clade) counts for every classified label, in catalog order."""
-    counts = Counter((label, s.pango_lineage, s.gisaid_clade)
-                     for label, s in _labelled(samples, catalog) if label is not None)
     tabs: dict[str, Counter[tuple[str, str]]] = {v.who_label: Counter() for v in catalog.variants}
-    for (label, lineage, clade), n in counts.items():
-        tabs[label][lineage, clade] = n
+    for (label, lineage, clade), n in _count(samples, [_label(catalog), _LINEAGE, _CLADE]).items():
+        if label is not None:
+            tabs[label][lineage, clade] = n
     return {label: tab for label, tab in tabs.items() if tab}
 
 
@@ -358,14 +381,15 @@ class StateBlock:
     age_sex: Counter[tuple[AgeGroup, Sex]] = field(default_factory=Counter)
     status_buckets: Counter[StatusBucket] = field(default_factory=Counter)
 
-    def _add(self, sample: SampleRecord, status: StatusBucket) -> None:
-        self.total += 1
-        self.clades[sample.gisaid_clade] += 1
-        self.sexes[sample.sex] += 1
-        if sample.vaccine is not None:
-            self.vaccines[sample.vaccine] += 1
-        self.age_sex[age_group(sample.age_years), sample.sex] += 1
-        self.status_buckets[status] += 1
+    def _add(self, status: StatusBucket, clade: str, sex: Sex, vaccine: str | None,
+             group: AgeGroup, n: int) -> None:
+        self.total += n
+        self.clades[clade] += n
+        self.sexes[sex] += n
+        if vaccine is not None:
+            self.vaccines[vaccine] += n
+        self.age_sex[group, sex] += n
+        self.status_buckets[status] += n
 
 
 @dataclass
@@ -378,7 +402,7 @@ class StateSummary:
 
 
 def state_summary(
-    samples: Iterable[SampleRecord],
+    samples: Iterable[SampleRecord] | GisaidStream,
     catalog: VariantCatalog = DEFAULT_CATALOG,
     who_label: str = "Delta",
     states: Iterable[str] = (),
@@ -386,20 +410,24 @@ def state_summary(
     """Per-state demographic/vaccination/severity blocks for one variant.
 
     State names match after fold_text normalization; the totals block covers
-    exactly the matched states. Each distinct state and status text is
-    normalized once per call, not once per sample.
+    exactly the matched states. The blocks are projections of one Counter
+    keyed by requested state name, status bucket, clade, sex, vaccine and
+    age group, so each distinct state and status text is normalized once
+    per call, not once per sample.
     """
     wanted = _canonical_label(who_label)
     order = list(states)
     blocks = {name: StateBlock() for name in order}
     fold = functools.cache(fold_text)
-    bucket = functools.cache(bucket_status)
     lookup = {fold(name): name for name in order}
+    dims = [
+        ("state", lambda state: lookup.get(fold(state))),
+        ("patient_status", bucket_status),
+        _CLADE, ("sex", None), ("vaccine", None), ("age_years", age_group),
+    ]
     totals = StateBlock()
-    for sample in _of_label(samples, catalog, wanted):
-        name = lookup.get(fold(sample.state))
+    for (name, *cell), n in _count_of_label(samples, catalog, wanted, dims).items():
         if name is not None:
-            status = bucket(sample.patient_status)
-            blocks[name]._add(sample, status)
-            totals._add(sample, status)
+            blocks[name]._add(*cell, n)
+            totals._add(*cell, n)
     return StateSummary(who_label=wanted, per_state=blocks, totals=totals)

@@ -7,19 +7,26 @@ in an IngestStats that is complete once iteration finishes. A RowError's
 line number is the physical line its record starts on, so it stays right
 after quoted fields that span lines.
 
-Case registries also have a batch path, ``SveervStream.count``: it pulls
-BATCH_ROWS rows at a time, transposes them into columns, checks each column
+Both readers also have a batch path, ``count``: it pulls BATCH_ROWS rows at
+a time, transposes them into columns, checks each column that can reject
 through the batch's distinct raw values (each distinct value is decoded once
 per run), and counts the accepted rows by the requested dimensions in C,
-without building a PatientRecord. Rows that are short or hold a value their
+without building a record. Every registry column can reject; of the genomic
+columns only the lineage can. Rows that are short or hold a value their
 column rejects go through the same per-row decoder that iterating uses, so
-both paths accept, reject and name reasons identically. The case-table
-functions in ``episurv.metrics`` take this path when handed a SveervStream.
+both paths accept, reject and name reasons identically. The table functions
+in ``episurv.metrics`` and ``episurv.genomics`` take this path when handed a
+stream; handed records, they count them the same way (see ``_count``).
 
-Whitespace: every coded and integer column (classification, patient type,
-sex, the yes/no flags, state, municipality and age) ignores leading and
-trailing whitespace, so " 3" reads as "3" and a blank age is unknown. The
-two date columns are read verbatim.
+Integers: every coded and integer registry column (classification, patient
+type, sex, the yes/no flags, state, municipality and age) reads its value
+as ``int()`` does, so surrounding whitespace and leading zeros are ignored:
+" 3" and "03" read as 3, and a blank age is unknown. The two date columns
+are read verbatim.
+
+Malformed CSV: a line the csv module cannot split (a carriage return inside
+an unquoted field, a field over csv.field_size_limit()) raises ValueError
+naming the physical line, from iteration and ``count`` alike.
 
 Sharding: callers may split a file's data rows into chunks (keeping the
 header with each chunk), ingest the chunks independently, and merge the
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, Union
 
 from .schema import (
     ALIVE_SENTINEL,
@@ -65,6 +72,10 @@ __all__ = [
 ]
 
 Source = Union[str, Path, bytes, BinaryIO]
+
+# A count dimension: a record field name and an optional function of its
+# decoded value (see _Stream.count and _count).
+_Dim = tuple[str, Callable | None]
 
 # Pango lineage grammar: alphabetic alias, then dot-separated numeric steps.
 LINEAGE_RE = re.compile(r"^[A-Za-z]+(\.\d+)*$")
@@ -215,7 +226,7 @@ def _resolve_header(
 
 
 # Raw-string decode tables for the common spellings; the column decoders
-# below fall back to stripping whitespace and to int() for the rest.
+# below fall back to int() for the rest (see _parse_code).
 _FLAG_BY_STR = {str(f.value): f for f in CodedFlag}
 _CLASS_BY_STR = {str(c.value): c for c in CaseClassification}
 _TREAT_BY_STR = {str(t.value): t for t in TreatmentStrategy}
@@ -240,7 +251,10 @@ def _parse_int(raw: str, column: str) -> int:
 def _parse_code(table: dict, raw: str, column: str):
     code = table.get(raw)
     if code is None:
-        code = table.get(raw.strip())
+        try:  # the int() rule: padding, leading zeros
+            code = table.get(str(int(raw)))
+        except ValueError:
+            pass
         if code is None:
             raise _Reject("UnknownCode", f"{column}={raw!r}")
     return code
@@ -263,10 +277,9 @@ def _parse_state(raw: str) -> int:
 
 
 def _parse_sex(raw: str) -> Sex:
-    sex = _SEX_BY_STR.get(raw) or _SEX_BY_STR.get(raw.strip())
-    if sex is None:
-        _parse_int(raw, "SEXO")  # non-integer rejects; other codes are unspecified
-        sex = Sex.UNSPECIFIED
+    sex = _SEX_BY_STR.get(raw)
+    if sex is None:  # non-integer rejects; other codes are unspecified
+        sex = _SEX_BY_STR.get(str(_parse_int(raw, "SEXO")), Sex.UNSPECIFIED)
     return sex
 
 
@@ -315,7 +328,7 @@ _COLUMN_DECODERS = (
 )
 
 
-def _row_decoder(cols: dict[str, int]) -> Callable[[list[str]], PatientRecord]:
+def _sveerv_row_decoder(cols: dict[str, int]) -> Callable[[list[str]], PatientRecord]:
     """The per-row decoder: a row to a PatientRecord, or _Reject.
 
     Checks the columns in _COLUMN_DECODERS order. Common spellings hit the
@@ -363,6 +376,83 @@ def _row_decoder(cols: dict[str, int]) -> Callable[[list[str]], PatientRecord]:
     return decode
 
 
+def _parse_lineage(raw: str) -> str:
+    lineage = raw.strip()
+    if not lineage:
+        raise _Reject("EmptyLineage")
+    if not LINEAGE_RE.match(lineage):
+        raise _Reject("MalformedLineage", f"pango_lineage={lineage!r}")
+    return lineage
+
+
+def _parse_gisaid_date(raw: str) -> date | None:
+    try:
+        return date.fromisoformat(raw.strip())
+    except ValueError:
+        return None
+
+
+def _parse_gisaid_age(raw: str) -> int | None:
+    raw = raw.strip()
+    if not raw:
+        return None
+    try:
+        value = int(float(raw))
+    except (ValueError, OverflowError):  # int() raises these for nan and for inf/1e400
+        return None
+    return value if 0 <= value <= MAX_AGE else None
+
+
+_GISAID_SEX = {
+    "female": Sex.FEMALE, "f": Sex.FEMALE, "mujer": Sex.FEMALE,
+    "male": Sex.MALE, "m": Sex.MALE, "hombre": Sex.MALE,
+}
+
+
+def _parse_gisaid_sex(raw: str) -> Sex:
+    return _GISAID_SEX.get(raw.strip().casefold(), Sex.UNSPECIFIED)
+
+
+def _parse_vaccine(raw: str) -> str | None:
+    return raw.strip() or None
+
+
+# Every SampleRecord field with its column and the decoder of one raw cell,
+# for the batch path; only the lineage decoder can reject (_Reject).
+_GISAID_DECODERS = {
+    "accession": ("accession", str.strip),
+    "collection_date": ("date", _parse_gisaid_date),
+    "state": ("division", str.strip),
+    "pango_lineage": ("pango_lineage", _parse_lineage),
+    "gisaid_clade": ("clade", str.strip),
+    "patient_status": ("patient_status", str),  # verbatim
+    "age_years": ("age", _parse_gisaid_age),
+    "sex": ("sex", _parse_gisaid_sex),
+    "vaccine": ("vaccine", _parse_vaccine),
+}
+
+
+def _gisaid_row_decoder(cols: dict[str, int]) -> Callable[[list[str]], SampleRecord]:
+    """The per-row decoder: a row to a SampleRecord, or _Reject. It applies
+    the _GISAID_DECODERS decoders, inlined."""
+    i_acc, i_date, i_div, i_lin, i_clade, i_status, i_age, i_sex, i_vax = (
+        cols[column] for column, _ in _GISAID_DECODERS.values()
+    )
+    ncols = max(cols.values()) + 1
+
+    def decode(row: list[str]) -> SampleRecord:
+        if len(row) < ncols:
+            raise _Reject("FieldCount", f"{len(row)} fields")
+        return SampleRecord(
+            row[i_acc].strip(), _parse_gisaid_date(row[i_date]), row[i_div].strip(),
+            _parse_lineage(row[i_lin]), row[i_clade].strip(), row[i_status],
+            _parse_gisaid_age(row[i_age]), _parse_gisaid_sex(row[i_sex]),
+            _parse_vaccine(row[i_vax]),
+        )
+
+    return decode
+
+
 def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple], list[list[str]]]:
     """Split one batch into the columns of its accepted rows and its rejected rows.
 
@@ -397,35 +487,59 @@ def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple
     return columns, rejects
 
 
-class SveervStream:
-    """Single-pass reader over a case-registry CSV.
+class _Tokens(dict):
+    """One dimension of a count: raw value -> small-int token of its key.
 
-    Iterating yields PatientRecord for accepted rows and RowError for skipped
-    ones. ``stats`` is live during iteration and final afterwards. ``count``
-    is the batch-columnar alternative to iterating: it folds the accepted
-    rows straight into a Counter. A stream is read once, by either.
+    A miss computes the key with ``key_of``, once per distinct raw value per
+    run. Keys are counted as tokens because hashing an int is cheaper than
+    hashing a Sex or AgeGroup; ``keys_by_token`` holds the keys in token order.
     """
 
-    def __init__(self, source: Source, *, delimiter: str = ",", encoding: str = "utf-8"):
-        self.stats = IngestStats()
-        self._raw, self._owns = _open_source(source)
-        self._lines = _decoded_lines(self._raw, encoding, self.stats)
-        self._reader = csv.reader(self._lines, delimiter=delimiter)
-        try:
-            header = next(self._reader)
-        except StopIteration:
-            header = []
-        self._cols = _resolve_header(header, SVEERV_COLUMNS)
+    def __init__(self, key_of: Callable[[str], object]):
+        super().__init__()
+        self.key_of = key_of
+        self.keys_by_token: dict = {}  # key -> token, in token order
 
-    def __iter__(self) -> Iterator[PatientRecord | RowError]:
-        decode = _row_decoder(self._cols)
+    def __missing__(self, raw: str) -> int:
+        tokens = self.keys_by_token
+        token = self[raw] = tokens.setdefault(self.key_of(raw), len(tokens))
+        return token
+
+
+def _decode_keys(counts: Counter[tuple], dims: list[_Tokens]) -> Counter[tuple]:
+    """``counts`` re-keyed from token tuples to the values the tokens stand for."""
+    values = [list(tokens.keys_by_token) for tokens in dims]
+    return Counter({tuple(map(operator.getitem, values, key)): n for key, n in counts.items()})
+
+
+def _csv_error(exc: csv.Error, line_no: int) -> ValueError:
+    return ValueError(f"line {line_no}: malformed CSV: {exc}")
+
+
+class _Stream:
+    """What both readers share: iteration through the per-row decoder, and
+    the batch-columnar ``count``.
+
+    A reader sets ``stats``, ``_raw``, ``_owns``, ``_cols`` (required column
+    -> index), ``_reader`` and ``_line_offset`` (physical lines read before
+    ``_reader`` started). Its class names the per-row decoder, each record
+    field's column and decoder, and the fields whose decoder can reject.
+    """
+
+    _row_decoder: Callable[[dict[str, int]], Callable[[list[str]], object]]
+    _decoders: dict[str, tuple[str, Callable[[str], object]]]
+    _checked: tuple[str, ...]
+
+    def __iter__(self) -> Iterator:
+        decode = self._row_decoder(self._cols)
         stats = self.stats
         reasons = stats.rejection_reasons
         reader = self._reader
-        end = reader.line_num  # physical line the header ended on
+        offset = self._line_offset
+        end = reader.line_num + offset  # physical line the header ended on
         try:
             for row in reader:
-                line_no, end = end + 1, reader.line_num
+                line_no, end = end + 1, reader.line_num + offset
                 if not row:
                     continue
                 stats.rows_read += 1
@@ -438,44 +552,47 @@ class SveervStream:
                 else:
                     stats.rows_accepted += 1
                     yield record
+        except csv.Error as exc:
+            raise _csv_error(exc, reader.line_num + offset) from None
         finally:
             if self._owns:
                 self._raw.close()
 
-    def records(self) -> Iterator[PatientRecord]:
+    def records(self) -> Iterator:
         """Accepted records only; rejected rows are still counted in stats."""
         return (item for item in self if not isinstance(item, RowError))
 
-    def count(self, dims: Sequence[tuple[str, Callable | None]]) -> Counter[tuple]:
+    def count(self, dims: Sequence[_Dim]) -> Counter[tuple]:
         """Count the accepted rows by ``dims``; the batch-columnar fold.
 
-        Each dimension is a PatientRecord field name (or a comorbidity name)
-        and an optional function of the decoded value; a key holds the
-        decoded value, or the function's result, per dimension. The result
-        equals ``Counter(key(r) for r in self.records())`` and ``stats``
-        equals a full iteration's, but no PatientRecord is built.
+        Each dimension is a record field name (or, for a registry, a
+        comorbidity name) and an optional function of the decoded value; a
+        key holds the decoded value, or the function's result, per
+        dimension. The result equals ``Counter(key(r) for r in
+        self.records())`` and ``stats`` equals a full iteration's, but no
+        record is built.
 
         Rows are pulled BATCH_ROWS at a time and transposed into columns.
-        Each column is checked through its batch's distinct raw values
-        against a per-run cache of decoded values, so every distinct raw
-        value is decoded once per run. A row that is short or holds a value
-        its column rejects goes through the per-row decoder, which names the
-        reason exactly as iterating does.
+        Each column that can reject is checked through its batch's distinct
+        raw values against a per-run cache of decoded values, so every
+        distinct raw value is decoded once per run. A row that is short or
+        holds a value its column rejects goes through the per-row decoder,
+        which names the reason exactly as iterating does. Accepted rows are
+        counted with Counter.update over small-int tokens of their keys
+        (see _Tokens), decoded at the end.
         """
         cols = self._cols
-        decode_row = _row_decoder(cols)
+        decode_row = self._row_decoder(cols)
         ncols = max(cols.values()) + 1
-        by_field = {field: column for column, field, _ in _COLUMN_DECODERS}
-        caches: dict[str, dict] = {column: {} for column, _, _ in _COLUMN_DECODERS}
-        checks = [(cols[column], decoder, caches[column], set())
-                  for column, _, decoder in _COLUMN_DECODERS]
-        # Keys are counted as small-int tokens, one per distinct key value
-        # and dimension, and decoded at the end: hashing an int is cheaper
-        # than hashing a Sex or AgeGroup.
-        keys = []  # per dimension: column index, decode cache, fn, raw -> token, value -> token
+        checks = []  # per column that can reject: index, decoder, decoded cache, rejected set
+        for field in self._checked:
+            column, decoder = self._decoders[field]
+            checks.append((cols[column], decoder, {}, set()))
+        keys = []  # per dimension: column index, tokens
         for field, fn in dims:
-            column = by_field[field]
-            keys.append((cols[column], caches[column], fn, {}, {}))
+            column, decoder = self._decoders[field]
+            key_of = decoder if fn is None else (lambda raw, d=decoder, fn=fn: fn(d(raw)))
+            keys.append((cols[column], _Tokens(key_of)))
         stats = self.stats
         reasons = stats.rejection_reasons
         counts: Counter[tuple] = Counter()
@@ -495,47 +612,58 @@ class SveervStream:
                 stats.rows_rejected += len(rejects)
                 stats.rows_accepted += accepted
                 if accepted and keys:
-                    for _, cache, fn, token_of, tokens in keys:
-                        if len(token_of) < len(cache):
-                            for raw in cache.keys() - token_of.keys():
-                                value = cache[raw] if fn is None else fn(cache[raw])
-                                token_of[raw] = tokens.setdefault(value, len(tokens))
-                    counts.update(zip(*(map(token_of.__getitem__, columns[i])
-                                        for i, _, _, token_of, _ in keys)))
+                    counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
                 elif accepted:
                     counts[()] += accepted
                 del rows, columns, rejects  # free this batch before reading the next
+        except csv.Error as exc:
+            raise _csv_error(exc, reader.line_num + self._line_offset) from None
         finally:
             if self._owns:
                 self._raw.close()
-        values = [list(tokens) for *_, tokens in keys]
-        return Counter({tuple(map(operator.getitem, values, key)): n
-                        for key, n in counts.items()})
+        return _decode_keys(counts, [tokens for _, tokens in keys])
 
 
-def _parse_gisaid_age(raw: str) -> int | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    try:
-        value = int(float(raw))
-    except (ValueError, OverflowError):  # int() raises these for nan and for inf/1e400
-        return None
-    return value if 0 <= value <= MAX_AGE else None
+class SveervStream(_Stream):
+    """Single-pass reader over a case-registry CSV.
+
+    Iterating yields PatientRecord for accepted rows and RowError for skipped
+    ones. ``stats`` is live during iteration and final afterwards. ``count``
+    is the batch-columnar alternative to iterating: it folds the accepted
+    rows straight into a Counter. A stream is read once, by either.
+    """
+
+    _row_decoder = staticmethod(_sveerv_row_decoder)
+    _decoders = {field: (column, decoder) for column, field, decoder in _COLUMN_DECODERS}
+    _checked = tuple(field for _, field, _ in _COLUMN_DECODERS)  # every column can reject
+
+    def __init__(self, source: Source, *, delimiter: str = ",", encoding: str = "utf-8"):
+        self.stats = IngestStats()
+        self._raw, self._owns = _open_source(source)
+        self._lines = _decoded_lines(self._raw, encoding, self.stats)
+        self._reader = csv.reader(self._lines, delimiter=delimiter)
+        self._line_offset = 0
+        try:
+            header = next(self._reader)
+        except StopIteration:
+            header = []
+        except csv.Error as exc:
+            raise _csv_error(exc, self._reader.line_num) from None
+        self._cols = _resolve_header(header, SVEERV_COLUMNS)
 
 
-_GISAID_SEX = {
-    "female": Sex.FEMALE, "f": Sex.FEMALE, "mujer": Sex.FEMALE,
-    "male": Sex.MALE, "m": Sex.MALE, "hombre": Sex.MALE,
-}
-
-
-class GisaidStream:
+class GisaidStream(_Stream):
     """Single-pass reader over genomic metadata (tab- or comma-separated).
 
     The delimiter is sniffed from the header line. Only structural lineage
     problems reject a row; other messy fields degrade to Unknown values.
+    Iterating yields SampleRecord or RowError; ``count`` is the
+    batch-columnar alternative, which checks only the lineage column.
     """
+
+    _row_decoder = staticmethod(_gisaid_row_decoder)
+    _decoders = _GISAID_DECODERS
+    _checked = ("pango_lineage",)
 
     def __init__(self, source: Source, *, encoding: str = "utf-8"):
         self.stats = IngestStats()
@@ -546,63 +674,40 @@ class GisaidStream:
         except StopIteration:
             header_line = ""
         delimiter = "\t" if "\t" in header_line else ","
-        header = next(csv.reader([header_line], delimiter=delimiter), [])
+        try:
+            header = next(csv.reader([header_line], delimiter=delimiter), [])
+        except csv.Error as exc:
+            raise _csv_error(exc, 1) from None
         self._cols = _resolve_header(header, GISAID_COLUMNS, _GISAID_ALIASES)
         self._reader = csv.reader(self._lines, delimiter=delimiter)
+        self._line_offset = 1  # the header line, read before the reader started
 
-    def __iter__(self) -> Iterator[SampleRecord | RowError]:
-        c = self._cols
-        i_acc, i_date, i_div, i_lin, i_clade, i_status, i_age, i_sex, i_vax = (
-            c[name] for name in GISAID_COLUMNS
-        )
-        ncols = max(c.values()) + 1
-        stats = self.stats
-        reasons = stats.rejection_reasons
-        reader = self._reader
-        end = 1  # the header line, read before the reader started
-        try:
-            for row in reader:
-                line_no, end = end + 1, reader.line_num + 1
-                if not row:
-                    continue
-                stats.rows_read += 1
-                try:
-                    if len(row) < ncols:
-                        raise _Reject("FieldCount", f"{len(row)} fields")
-                    lineage = row[i_lin].strip()
-                    if not lineage:
-                        raise _Reject("EmptyLineage")
-                    if not LINEAGE_RE.match(lineage):
-                        raise _Reject("MalformedLineage", f"pango_lineage={lineage!r}")
-                    try:
-                        when = date.fromisoformat(row[i_date].strip())
-                    except ValueError:
-                        when = None
-                    vaccine = row[i_vax].strip()
-                    record = SampleRecord(
-                        accession=row[i_acc].strip(),
-                        collection_date=when,
-                        state=row[i_div].strip(),
-                        pango_lineage=lineage,
-                        gisaid_clade=row[i_clade].strip(),
-                        patient_status=row[i_status],
-                        age_years=_parse_gisaid_age(row[i_age]),
-                        sex=_GISAID_SEX.get(row[i_sex].strip().casefold(), Sex.UNSPECIFIED),
-                        vaccine=vaccine or None,
-                    )
-                except _Reject as exc:
-                    stats.rows_rejected += 1
-                    reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
-                    yield RowError(line_no, exc.reason, exc.detail)
-                else:
-                    stats.rows_accepted += 1
-                    yield record
-        finally:
-            if self._owns:
-                self._raw.close()
 
-    def records(self) -> Iterator[SampleRecord]:
-        return (item for item in self if not isinstance(item, RowError))
+def _same(value):
+    return value
+
+
+def _field_getter(field: str) -> Callable[[object], object]:
+    if field in COMORBIDITY_FIELDS:
+        return lambda r: r.comorbidities.get(field)
+    return operator.attrgetter(field)
+
+
+def _count(items: Iterable | _Stream, dims: Sequence[_Dim]) -> Counter[tuple]:
+    """Records counted by ``dims`` in one pass. A stream is counted by its
+    batch-columnar fold; records are counted the same way, BATCH_ROWS at a
+    time, with a column per dimension read off the records. The two agree."""
+    if isinstance(items, _Stream):
+        return items.count(dims)
+    keys = [(_field_getter(field), _Tokens(fn or _same)) for field, fn in dims]
+    counts: Counter[tuple] = Counter()
+    items = iter(items)
+    while batch := list(islice(items, BATCH_ROWS)):
+        if keys:
+            counts.update(zip(*(map(tokens.__getitem__, map(get, batch)) for get, tokens in keys)))
+        else:
+            counts[()] += len(batch)
+    return _decode_keys(counts, [tokens for _, tokens in keys])
 
 
 def ingest_sveerv(source: Source, *, delimiter: str = ",", encoding: str = "utf-8") -> SveervStream:

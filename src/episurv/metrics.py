@@ -28,7 +28,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .ingest import SveervStream
+from .ingest import SveervStream, _count, _Dim
 from .schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -345,8 +345,6 @@ def build_report(
 # comorbidity name) and an optional function of the field's value; a filter
 # is such a dimension whose function returns a bool.
 
-_Dim = tuple[str, Callable | None]
-
 _CLASSIFICATION: _Dim = ("classification", None)
 _SEX: _Dim = ("sex", None)
 _TREATMENT: _Dim = ("treatment", None)
@@ -375,24 +373,6 @@ class _Cell(NamedTuple):
     icu: CodedFlag
     intubated: CodedFlag
     death_date: object  # None when alive
-
-
-def _field_getter(field: str) -> Callable[[PatientRecord], object]:
-    if field in COMORBIDITY_FIELDS:
-        return lambda r: r.comorbidities.get(field)
-    return operator.attrgetter(field)
-
-
-def _count(records: Iterable[PatientRecord] | SveervStream, dims: Sequence[_Dim]) -> Counter[tuple]:
-    """Records counted by ``dims`` in one pass. A SveervStream is counted by
-    its batch-columnar fold, anything else record by record; the two agree."""
-    if isinstance(records, SveervStream):
-        return records.count(dims)
-    keys = []
-    for field, fn in dims:
-        get = _field_getter(field)
-        keys.append(get if fn is None else (lambda r, get=get, fn=fn: fn(get(r))))
-    return Counter(tuple([key(r) for key in keys]) for r in records)
 
 
 def _tally(

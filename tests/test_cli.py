@@ -79,6 +79,21 @@ class TestDataErrors:
         assert main(["fixture-gen", "--preset", "smoke", "--rows", "5"]) == 2
         assert "at least 20 rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["epi-report"], ["validate", "--kind", "gisaid"], ["genomic-report"],
+    ])
+    @pytest.mark.parametrize("cell", ["a\rb", "x" * 131073], ids=["cr", "long"])
+    def test_malformed_csv_is_one_error_line(self, argv, cell, tmp_path, capsys):
+        path = tmp_path / "input"
+        if "gisaid" in argv or argv == ["genomic-report"]:
+            path.write_bytes(gisaid_bytes(grow(), grow(division=cell)))
+        else:
+            path.write_bytes(csv_bytes(row(), row(MUNICIPIO_RES=cell)))
+        assert main([*argv, "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("episurv: error: line 3: malformed CSV: ")
+        assert err.count("\n") == 1
+
 
 class TestValidate:
     def test_counters_and_reasons(self, epi_file, capsys):
@@ -342,6 +357,19 @@ class TestFixtureGen:
                      "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("ENTIDAD_RES,")
+
+
+def test_genomic_report_does_not_import_fixtures(gisaid_file):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "episurv.cli", "genomic-report",
+         "-i", gisaid_file],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "episurv.genomics" in imported
+    assert "episurv.fixtures" not in imported
 
 
 def test_console_script_runs():

@@ -119,6 +119,10 @@ def test_empty_file_raises_missing_columns():
         ({"FECHA_DEF": "2021-13-40"}, "BadDate"),
         ({"FECHA_SINTOMAS": "not-a-date"}, "BadDate"),
         ({"DIABETES": "3"}, "UnknownCode"),
+        ({"CLASIFICACION_FINAL": "08"}, "UnknownCode"),
+        ({"CLASIFICACION_FINAL": "0x3"}, "UnknownCode"),
+        ({"UCI": "05"}, "UnknownCode"),
+        ({"SEXO": "0x1"}, "BadInteger"),
     ],
 )
 def test_rejections_by_reason(overrides, reason):
@@ -421,3 +425,61 @@ def test_batch_path_matches_iteration_across_batches():
                               r.comorbidities["diabetes"]) for r in records)
     assert counts[CaseClassification.CONFIRMED_BY_LAB, Sex.FEMALE, 7, 34,
                   CodedFlag.NOT_APPLICABLE, CodedFlag.YES] == 1
+
+
+# --- one integer rule: leading zeros --------------------------------------------
+
+@pytest.mark.parametrize("column", CODED_COLUMNS)
+def test_every_integer_coded_column_reads_leading_zeros(column):
+    plain = row(SEXO="2", UCI="1")
+    cells = dict(zip(SVEERV_COLUMNS, plain.split(",")))
+    padded = row(**{**cells, column: "0" + cells[column]})
+    records, stats, counts, batch_stats = _both_paths(csv_bytes(plain, padded, padded.replace(",0", ",00", 1)))
+    assert stats.rows_accepted == 3, stats.rejection_reasons
+    assert records[0] == records[1] == records[2]
+    assert batch_stats == stats
+    assert counts == {(CaseClassification.CONFIRMED_BY_LAB, Sex.MALE, 20, 34,
+                       CodedFlag.YES, CodedFlag.NO): 3}
+
+
+def test_leading_zero_sex_codes():
+    records = list(ingest_sveerv(csv_bytes(row(SEXO="01"), row(SEXO="002"), row(SEXO="099"),
+                                           row(SEXO="07"))).records())
+    assert [r.sex for r in records] == [Sex.FEMALE, Sex.MALE, Sex.UNSPECIFIED, Sex.UNSPECIFIED]
+
+
+# --- malformed CSV ----------------------------------------------------------------
+
+READS = {"iterate": list, "count": lambda stream: stream.count([("sex", None)])}
+DEFECTS = {"cr": "a\rb", "long": "x" * 131073}
+
+
+def _malformed(kind: str, defect: str, before: int) -> bytes:
+    """A file whose data row ``before + 1`` holds the defect in an unquoted
+    field, after one quoted field spanning two lines."""
+    if kind == "sveerv":
+        rows = [row() + ',"one\ntwo"'] + [row() + ",n"] * before + [row() + "," + DEFECTS[defect]]
+        return csv_bytes(*rows, header=HEADER + ",NOTA")
+    rows = ([grow(patient_status='"Ambulatorio\nsegunda"')] + [grow()] * before
+            + [grow(division=DEFECTS[defect])])
+    return gisaid_bytes(*rows)
+
+
+@pytest.mark.parametrize("read", READS.values(), ids=READS)
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("kind", ["sveerv", "gisaid"])
+@pytest.mark.parametrize("before", [0, BATCH_ROWS + 3])
+def test_malformed_csv_raises_value_error_naming_the_physical_line(kind, defect, read, before):
+    data = _malformed(kind, defect, before)
+    stream = ingest_sveerv(data) if kind == "sveerv" else ingest_gisaid(data)
+    line = before + 4  # header, two lines of the quoted field, the good rows
+    with pytest.raises(ValueError, match=rf"^line {line}: malformed CSV: "):
+        read(stream)
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_malformed_header_raises_value_error(defect):
+    with pytest.raises(ValueError, match="^line 1: malformed CSV: "):
+        ingest_sveerv(csv_bytes(row(), header=HEADER + "," + DEFECTS[defect]))
+    with pytest.raises(ValueError, match="^line 1: malformed CSV: "):
+        ingest_gisaid(gisaid_bytes(grow(), header=GHEAD + "\t" + DEFECTS[defect]))

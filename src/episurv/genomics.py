@@ -311,6 +311,13 @@ def _label(catalog: VariantCatalog) -> _Dim:
     return ("pango_lineage", functools.cache(catalog.classify))
 
 
+def _resolve_label(catalog: VariantCatalog, who_label: str) -> str:
+    """The catalog's spelling of ``who_label`` (matched case-insensitively,
+    aliases included), or its canonical text when the catalog lacks it."""
+    variant = catalog.get(who_label)
+    return variant.who_label if variant is not None else _canonical_label(who_label)
+
+
 def _count_of_label(
     samples: Iterable[SampleRecord] | GisaidStream,
     catalog: VariantCatalog,
@@ -318,7 +325,7 @@ def _count_of_label(
     dims: Sequence[_Dim],
 ) -> Counter[tuple]:
     """Counts by ``dims`` of the samples classified as ``who_label``."""
-    wanted = _canonical_label(who_label)
+    wanted = _resolve_label(catalog, who_label)
     classify = functools.cache(catalog.classify)
     cube = _count(samples, [("pango_lineage", lambda lineage: classify(lineage) == wanted), *dims])
     return Counter({key[1:]: n for key, n in cube.items() if key[0]})
@@ -415,7 +422,7 @@ def state_summary(
     age group, so each distinct state and status text is normalized once
     per call, not once per sample.
     """
-    wanted = _canonical_label(who_label)
+    wanted = _resolve_label(catalog, who_label)
     order = list(states)
     blocks = {name: StateBlock() for name in order}
     fold = functools.cache(fold_text)

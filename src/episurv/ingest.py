@@ -28,16 +28,31 @@ Malformed CSV: a line the csv module cannot split (a carriage return inside
 an unquoted field, a field over csv.field_size_limit()) raises ValueError
 naming the physical line, from iteration and ``count`` alike.
 
-Sharding: callers may split a file's data rows into chunks (keeping the
-header with each chunk), ingest the chunks independently, and merge the
-resulting stats and downstream accumulators; results equal a whole-file pass.
+Sharding: ``count`` splits a large file across CPU cores by itself. It
+shards only a regular file it opened by path, only when ``os.fork`` exists,
+no other thread runs, at least two CPUs are usable and the data after the
+header fills at least two shards of SHARD_MIN_BYTES; and only when the data
+holds no ``"``, since a quoted field may span lines. The data is cut just
+after a newline into one byte range per usable CPU, as many as hold
+SHARD_MIN_BYTES each. The process folds the first range itself and forks one worker per
+other range (``episurv._shard``); each reads its range with ``os.pread``,
+so no file offset is shared, through the same line decode, CSV split and
+batch fold, and sends back its Counter, IngestStats and physical line
+count. The parts merge in file order, so the Counter equals a whole-file
+pass item for item and in insertion order, and the stats and any
+malformed-CSV line number are those of a whole-file pass. Iteration and
+``records()`` always read serially.
 """
 
+import contextlib
 import csv
 import functools
 import io
 import operator
+import os
 import re
+import stat
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -69,6 +84,7 @@ __all__ = [
     "validate_report",
     "LINEAGE_RE",
     "BATCH_ROWS",
+    "SHARD_MIN_BYTES",
 ]
 
 Source = Union[str, Path, bytes, BinaryIO]
@@ -239,6 +255,9 @@ _FLAG_COLUMNS = ("HABLA_LENGUA_INDIG", "UCI", "INTUBADO") + SVEERV_COLUMNS[11:]
 
 #: Rows per batch of the batch-columnar fold (SveervStream.count).
 BATCH_ROWS = 256
+
+#: Least data bytes per shard of a sharded ``count`` (see the module docstring).
+SHARD_MIN_BYTES = 1 << 20
 
 
 def _parse_int(raw: str, column: str) -> int:
@@ -520,15 +539,26 @@ class _Stream:
     """What both readers share: iteration through the per-row decoder, and
     the batch-columnar ``count``.
 
-    A reader sets ``stats``, ``_raw``, ``_owns``, ``_cols`` (required column
-    -> index), ``_reader`` and ``_line_offset`` (physical lines read before
-    ``_reader`` started). Its class names the per-row decoder, each record
-    field's column and decoder, and the fields whose decoder can reject.
+    A reader sets ``stats``, ``_raw``, ``_owns``, ``_encoding``,
+    ``_delimiter``, ``_cols`` (required column -> index), ``_reader`` and
+    ``_line_offset`` (physical lines read before ``_reader`` started). Its
+    class names the per-row decoder, each record field's column and decoder,
+    and the fields whose decoder can reject.
     """
 
     _row_decoder: Callable[[dict[str, int]], Callable[[list[str]], object]]
     _decoders: dict[str, tuple[str, Callable[[str], object]]]
     _checked: tuple[str, ...]
+
+    @contextlib.contextmanager
+    def _closed_on_error(self) -> Iterator[None]:
+        """Close a file this stream opened if the block raises (an unusable header)."""
+        try:
+            yield
+        except BaseException:
+            if self._owns:
+                self._raw.close()
+            raise
 
     def __iter__(self) -> Iterator:
         decode = self._row_decoder(self._cols)
@@ -570,7 +600,27 @@ class _Stream:
         key holds the decoded value, or the function's result, per
         dimension. The result equals ``Counter(key(r) for r in
         self.records())`` and ``stats`` equals a full iteration's, but no
-        record is built.
+        record is built. A large file is counted in shards across CPU cores
+        and the parts merged in file order (see the module docstring).
+        """
+        try:
+            jobs = self._shard_jobs()
+            if jobs > 1:
+                from . import _shard  # compiled only when a file is sharded
+
+                counts = _shard.count(self, jobs, dims)
+                if counts is not None:
+                    return counts
+            try:
+                return self._fold(self._reader, self.stats, dims)
+            except csv.Error as exc:
+                raise _csv_error(exc, self._reader.line_num + self._line_offset) from None
+        finally:
+            if self._owns:
+                self._raw.close()
+
+    def _fold(self, reader: Iterator[list[str]], stats: IngestStats, dims: Sequence[_Dim]) -> Counter[tuple]:
+        """The batch-columnar fold of ``reader``'s rows into a Counter by ``dims``.
 
         Rows are pulled BATCH_ROWS at a time and transposed into columns.
         Each column that can reject is checked through its batch's distinct
@@ -579,7 +629,7 @@ class _Stream:
         holds a value its column rejects goes through the per-row decoder,
         which names the reason exactly as iterating does. Accepted rows are
         counted with Counter.update over small-int tokens of their keys
-        (see _Tokens), decoded at the end.
+        (see _Tokens), decoded at the end. csv.Error propagates.
         """
         cols = self._cols
         decode_row = self._row_decoder(cols)
@@ -593,35 +643,44 @@ class _Stream:
             column, decoder = self._decoders[field]
             key_of = decoder if fn is None else (lambda raw, d=decoder, fn=fn: fn(d(raw)))
             keys.append((cols[column], _Tokens(key_of)))
-        stats = self.stats
         reasons = stats.rejection_reasons
         counts: Counter[tuple] = Counter()
-        reader = self._reader
-        try:
-            while rows := list(islice(reader, BATCH_ROWS)):
-                if not all(rows):
-                    rows = [row for row in rows if row]  # blank lines are not rows
-                columns, rejects = _screen(rows, checks, ncols)
-                for row in rejects:
-                    try:
-                        decode_row(row)
-                    except _Reject as exc:
-                        reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
-                accepted = len(rows) - len(rejects)
-                stats.rows_read += len(rows)
-                stats.rows_rejected += len(rejects)
-                stats.rows_accepted += accepted
-                if accepted and keys:
-                    counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
-                elif accepted:
-                    counts[()] += accepted
-                del rows, columns, rejects  # free this batch before reading the next
-        except csv.Error as exc:
-            raise _csv_error(exc, reader.line_num + self._line_offset) from None
-        finally:
-            if self._owns:
-                self._raw.close()
+        while rows := list(islice(reader, BATCH_ROWS)):
+            if not all(rows):
+                rows = [row for row in rows if row]  # blank lines are not rows
+            columns, rejects = _screen(rows, checks, ncols)
+            for row in rejects:
+                try:
+                    decode_row(row)
+                except _Reject as exc:
+                    reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
+            accepted = len(rows) - len(rejects)
+            stats.rows_read += len(rows)
+            stats.rows_rejected += len(rejects)
+            stats.rows_accepted += accepted
+            if accepted and keys:
+                counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
+            elif accepted:
+                counts[()] += accepted
+            del rows, columns, rejects  # free this batch before reading the next
         return _decode_keys(counts, [tokens for _, tokens in keys])
+
+    def _shard_jobs(self) -> int:
+        """Shards ``count`` may split the data into, before the quote scan;
+        below 2, it counts serially. See the module docstring for the guards."""
+        if not (self._owns and hasattr(os, "fork") and threading.active_count() == 1):
+            return 0
+        info = os.fstat(self._raw.fileno())
+        return _jobs(info.st_size - self.stats.bytes_read) if stat.S_ISREG(info.st_mode) else 0
+
+
+def _jobs(data_bytes: int) -> int:
+    """One shard per usable CPU, each of at least SHARD_MIN_BYTES of data."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, data_bytes // SHARD_MIN_BYTES)
 
 
 class SveervStream(_Stream):
@@ -640,16 +699,18 @@ class SveervStream(_Stream):
     def __init__(self, source: Source, *, delimiter: str = ",", encoding: str = "utf-8"):
         self.stats = IngestStats()
         self._raw, self._owns = _open_source(source)
+        self._encoding, self._delimiter = encoding, delimiter
         self._lines = _decoded_lines(self._raw, encoding, self.stats)
         self._reader = csv.reader(self._lines, delimiter=delimiter)
         self._line_offset = 0
-        try:
-            header = next(self._reader)
-        except StopIteration:
-            header = []
-        except csv.Error as exc:
-            raise _csv_error(exc, self._reader.line_num) from None
-        self._cols = _resolve_header(header, SVEERV_COLUMNS)
+        with self._closed_on_error():
+            try:
+                header = next(self._reader)
+            except StopIteration:
+                header = []
+            except csv.Error as exc:
+                raise _csv_error(exc, self._reader.line_num) from None
+            self._cols = _resolve_header(header, SVEERV_COLUMNS)
 
 
 class GisaidStream(_Stream):
@@ -669,16 +730,18 @@ class GisaidStream(_Stream):
         self.stats = IngestStats()
         self._raw, self._owns = _open_source(source)
         self._lines = _decoded_lines(self._raw, encoding, self.stats)
-        try:
-            header_line = next(self._lines)
-        except StopIteration:
-            header_line = ""
-        delimiter = "\t" if "\t" in header_line else ","
-        try:
-            header = next(csv.reader([header_line], delimiter=delimiter), [])
-        except csv.Error as exc:
-            raise _csv_error(exc, 1) from None
-        self._cols = _resolve_header(header, GISAID_COLUMNS, _GISAID_ALIASES)
+        with self._closed_on_error():
+            try:
+                header_line = next(self._lines)
+            except StopIteration:
+                header_line = ""
+            delimiter = "\t" if "\t" in header_line else ","
+            try:
+                header = next(csv.reader([header_line], delimiter=delimiter), [])
+            except csv.Error as exc:
+                raise _csv_error(exc, 1) from None
+            self._cols = _resolve_header(header, GISAID_COLUMNS, _GISAID_ALIASES)
+        self._encoding, self._delimiter = encoding, delimiter
         self._reader = csv.reader(self._lines, delimiter=delimiter)
         self._line_offset = 1  # the header line, read before the reader started
 

@@ -284,6 +284,20 @@ class TestGenomicReport:
         assert lines[1] == "Fallecido\tsevere\tGRY\t1"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("table", ["t9", "t10", "t11", "t12", "t13"])
+    @pytest.mark.parametrize("label,canonical", [("delta", "Delta"), ("DELTA", "Delta"),
+                                                 (" jota ", "Iota")])
+    def test_label_matches_case_insensitively(self, annex_gisaid_path, capsys, table, label,
+                                              canonical):
+        def out(label):
+            assert main(["genomic-report", "-i", str(annex_gisaid_path), "--table", table,
+                         "--label", label]) == 0
+            return capsys.readouterr().out
+
+        assert out(label) == out(canonical)
+        if table == "t9":  # both variants have samples; an unknown label has none
+            assert out(label) != out("Mystery")
+
     def test_t11_states_flag(self, gisaid_file, capsys):
         assert main(["genomic-report", "-i", gisaid_file, "--table", "t11",
                      "--states", "Puebla,Oaxaca"]) == 0

@@ -4,6 +4,7 @@ from datetime import date
 
 import pytest
 
+from episurv import ingest
 from episurv.ingest import (
     BATCH_ROWS,
     GISAID_COLUMNS,
@@ -483,3 +484,23 @@ def test_malformed_header_raises_value_error(defect):
         ingest_sveerv(csv_bytes(row(), header=HEADER + "," + DEFECTS[defect]))
     with pytest.raises(ValueError, match="^line 1: malformed CSV: "):
         ingest_gisaid(gisaid_bytes(grow(), header=GHEAD + "\t" + DEFECTS[defect]))
+
+
+@pytest.mark.parametrize("kind", ["sveerv", "gisaid"])
+@pytest.mark.parametrize("header", ["missing", *DEFECTS])
+def test_unusable_header_closes_the_file(tmp_path, monkeypatch, kind, header):
+    if kind == "sveerv":
+        bad = "a,b,c" if header == "missing" else HEADER + "," + DEFECTS[header]
+        data, read = csv_bytes(row(), header=bad), ingest_sveerv
+    else:
+        bad = "a\tb\tc" if header == "missing" else GHEAD + "\t" + DEFECTS[header]
+        data, read = gisaid_bytes(grow(), header=bad), ingest_gisaid
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    opened = []
+    open_source = ingest._open_source
+    monkeypatch.setattr(ingest, "_open_source", lambda source: opened.append(open_source(source)) or opened[-1])
+    with pytest.raises(ValueError):
+        read(path)
+    [(raw, owns)] = opened
+    assert owns and raw.closed

@@ -16,7 +16,6 @@ from .schema import (
     Sex,
     SuspectType,
     TreatmentStrategy,
-    UnknownCode,
     is_positive,
     suspect_type,
 )
@@ -73,7 +72,7 @@ from .genomics import (
     status_crosstab,
     variant_shares,
 )
-from .report import ShapeMismatch, TableId, format_pct, render, render_severity_stack
+from .report import ShapeMismatch, TableId, format_pct, render
 
 __version__ = "0.1.0"
 
@@ -81,7 +80,7 @@ __all__ = [
     "__version__",
     # schema
     "CaseClassification", "CodedFlag", "PatientRecord", "STATE_NAMES", "Sex",
-    "SuspectType", "TreatmentStrategy", "UnknownCode", "is_positive", "suspect_type",
+    "SuspectType", "TreatmentStrategy", "is_positive", "suspect_type",
     # ingest
     "GisaidStream", "IngestStats", "MissingRequiredColumn", "RowError",
     "SampleRecord", "SveervStream", "ingest_gisaid", "ingest_sveerv", "validate_report",
@@ -98,5 +97,5 @@ __all__ = [
     "load_catalog", "matches", "parse_pattern", "state_summary",
     "status_crosstab", "variant_shares",
     # report
-    "ShapeMismatch", "TableId", "format_pct", "render", "render_severity_stack",
+    "ShapeMismatch", "TableId", "format_pct", "render",
 ]

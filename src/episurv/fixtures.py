@@ -73,7 +73,6 @@ class UnknownPreset(ValueError):
 
 
 _SEX_CODES = {Sex.FEMALE: "1", Sex.MALE: "2", Sex.UNSPECIFIED: "99"}
-_SEX_ORDER = (Sex.FEMALE, Sex.MALE, Sex.UNSPECIFIED)
 
 # Fixture date window (symptom onsets; deaths may trail by up to 60 days).
 _WINDOW_START = date(2020, 4, 6)
@@ -267,7 +266,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
     if conflicts:
         raise InconsistentMarginals(conflicts)
 
-    sexes = [s for s in _SEX_ORDER
+    sexes = [s for s in Sex
              if any(sex is s for (_, sex) in spec.classification_sex)]
 
     for sex in sexes:
@@ -646,7 +645,7 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                     f" != state samples {len(members)}"
                 )
             elif block.state_sex is not None:
-                for sex in _SEX_ORDER:
+                for sex in Sex:
                     from_age = sum(n for (g, s2), n in cells if s2 is sex)
                     declared = block.state_sex.get((state, sex), 0)
                     if from_age != declared:
@@ -663,7 +662,7 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                     at += n
         elif block.state_sex is not None:
             at = 0
-            for sex in _SEX_ORDER:
+            for sex in Sex:
                 n = block.state_sex.get((state, sex), 0)
                 for row in members[at:at + n]:
                     row.sex = sex

@@ -1,22 +1,23 @@
 """Streaming, validating readers for the two input formats.
 
-Both readers make a single pass over their source, decode each row into a
-typed record, and never buffer the file: iterating yields either a decoded
-record or a RowError describing why that row was skipped. Counters accumulate
-in an IngestStats that is complete once iteration finishes. A RowError's
-line number is the physical line its record starts on, so it stays right
-after quoted fields that span lines.
-
-Both readers also have a batch path, ``count``: it pulls BATCH_ROWS rows at
-a time, transposes them into columns, checks each column that can reject
-through the batch's distinct raw values (each distinct value is decoded once
-per run), and counts the accepted rows by the requested dimensions in C,
-without building a record. Every registry column can reject; of the genomic
-columns only the lineage can. Rows that are short or hold a value their
-column rejects go through the same per-row decoder that iterating uses, so
-both paths accept, reject and name reasons identically. The table functions
-in ``episurv.metrics`` and ``episurv.genomics`` take this path when handed a
-stream; handed records, they count them the same way (see ``_count``).
+Both readers make a single pass over their source and never buffer the
+file. They read it through one batch loop: it pulls BATCH_ROWS rows at a
+time, transposes them into columns and checks each column that can reject
+through the batch's distinct raw values, with one decoder per column; each
+distinct raw value is decoded once per run. Every registry column can
+reject; of the genomic columns only the lineage can. A row is rejected as
+FieldCount when it is short, else with the reason of its first failing
+column in check order. Iterating builds the records of a batch from its
+decoded columns and yields them in row order, each rejected row as a
+RowError in its place; ``count`` folds the accepted rows by the requested
+dimensions in C, without building a record. So both accept, reject and
+name reasons identically. A RowError's line number is the physical line
+its row starts on, so it stays right after quoted fields that span lines.
+The IngestStats advance once per batch and are final once the stream is
+read; their reasons are listed in the order the file first shows them.
+The table functions in ``episurv.metrics`` and ``episurv.genomics`` count a
+stream with ``count``; handed records, they count them the same way (see
+``_count``).
 
 Integers: every coded and integer registry column (classification, patient
 type, sex, the yes/no flags, state, municipality and age) reads its value
@@ -54,7 +55,7 @@ import re
 import stat
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -325,7 +326,8 @@ def _parse_onset(raw: str) -> date | None:
 
 # Every checked column in the order a row is checked (the first failure names
 # the rejection), with its PatientRecord field and its decoder. A decoder
-# maps one raw cell to its value or raises _Reject; both ingest paths use it.
+# maps one raw cell to its value or raises _Reject; iteration and ``count``
+# both decode through it.
 _COLUMN_DECODERS = (
     ("CLASIFICACION_FINAL", "classification",
      lambda raw: _parse_code(_CLASS_BY_STR, raw, "CLASIFICACION_FINAL")),
@@ -346,53 +348,16 @@ _COLUMN_DECODERS = (
     ),
 )
 
+# The PatientRecord fields before ``comorbidities``, in order.
+_PATIENT_FIELDS = tuple(f.name for f in fields(PatientRecord) if f.name != "comorbidities")
 
-def _sveerv_row_decoder(cols: dict[str, int]) -> Callable[[list[str]], PatientRecord]:
-    """The per-row decoder: a row to a PatientRecord, or _Reject.
 
-    Checks the columns in _COLUMN_DECODERS order. Common spellings hit the
-    lookup tables inline; anything else goes to the column's decoder.
-    """
-    i_clasif, i_state, i_sex, i_age, i_type, i_def, i_onset, i_muni = (
-        cols[column] for column, _, _ in _COLUMN_DECODERS[:8]
-    )
-    flags_of = operator.itemgetter(*(cols[column] for column in _FLAG_COLUMNS))
-    flag_get = _FLAG_BY_STR.get
-    ncols = max(cols.values()) + 1
-    como_fields = COMORBIDITY_FIELDS
-
-    def decode(row: list[str]) -> PatientRecord:
-        if len(row) < ncols:
-            raise _Reject("FieldCount", f"{len(row)} fields")
-        raw = row[i_clasif]
-        classification = _CLASS_BY_STR.get(raw) or _parse_code(
-            _CLASS_BY_STR, raw, "CLASIFICACION_FINAL")
-        raw = row[i_state]
-        state = _STATE_BY_STR.get(raw) or _parse_state(raw)
-        raw = row[i_sex]
-        sex = _SEX_BY_STR.get(raw) or _parse_sex(raw)
-        raw = row[i_age]
-        age = _AGE_BY_STR.get(raw)
-        if age is None and raw:
-            age = _parse_age(raw)
-        raw = row[i_type]
-        treatment = _TREAT_BY_STR.get(raw) or _parse_code(_TREAT_BY_STR, raw, "TIPO_PACIENTE")
-        death = _parse_death(row[i_def])
-        onset = _parse_onset(row[i_onset])
-        muni = _parse_int(row[i_muni], "MUNICIPIO_RES")
-        raw_flags = flags_of(row)
-        # Lists, not tuples: on a file with many rejected rows, tuple(map(...))
-        # here left about 280 KB of freed 13-tuples resident (CPython keeps up
-        # to 2000 free tuples of each small size).
-        flags = list(map(flag_get, raw_flags))
-        if not all(flags):  # every CodedFlag is truthy
-            flags = list(map(_parse_code, repeat(_FLAG_BY_STR), raw_flags, _FLAG_COLUMNS))
-        return PatientRecord(
-            state, muni, sex, age, flags[0], treatment, flags[1], flags[2], death,
-            classification, onset, dict(zip(como_fields, flags[3:])),
-        )
-
-    return decode
+def _patient_records(values: dict[str, Iterator]) -> Iterator[PatientRecord]:
+    """PatientRecords from decoded columns keyed by field; the comorbidity
+    columns fold into each record's ``comorbidities`` dict."""
+    flags = zip(*map(values.get, COMORBIDITY_FIELDS))
+    comorbidities = map(dict, map(zip, repeat(COMORBIDITY_FIELDS), flags))
+    return map(PatientRecord, *map(values.get, _PATIENT_FIELDS), comorbidities)
 
 
 def _parse_lineage(raw: str) -> str:
@@ -436,8 +401,8 @@ def _parse_vaccine(raw: str) -> str | None:
     return raw.strip() or None
 
 
-# Every SampleRecord field with its column and the decoder of one raw cell,
-# for the batch path; only the lineage decoder can reject (_Reject).
+# Every SampleRecord field, in its order, with its column and the decoder of
+# one raw cell; only the lineage decoder can reject (_Reject).
 _GISAID_DECODERS = {
     "accession": ("accession", str.strip),
     "collection_date": ("date", _parse_gisaid_date),
@@ -451,42 +416,29 @@ _GISAID_DECODERS = {
 }
 
 
-def _gisaid_row_decoder(cols: dict[str, int]) -> Callable[[list[str]], SampleRecord]:
-    """The per-row decoder: a row to a SampleRecord, or _Reject. It applies
-    the _GISAID_DECODERS decoders, inlined."""
-    i_acc, i_date, i_div, i_lin, i_clade, i_status, i_age, i_sex, i_vax = (
-        cols[column] for column, _ in _GISAID_DECODERS.values()
-    )
-    ncols = max(cols.values()) + 1
+def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple], dict[int, tuple[str, str]]]:
+    """Decode one batch's checked columns: the columns of its accepted rows
+    (none if no row is accepted), and the (reason, detail) of each rejected
+    row by its index in the batch, in row order.
 
-    def decode(row: list[str]) -> SampleRecord:
-        if len(row) < ncols:
-            raise _Reject("FieldCount", f"{len(row)} fields")
-        return SampleRecord(
-            row[i_acc].strip(), _parse_gisaid_date(row[i_date]), row[i_div].strip(),
-            _parse_lineage(row[i_lin]), row[i_clade].strip(), row[i_status],
-            _parse_gisaid_age(row[i_age]), _parse_gisaid_sex(row[i_sex]),
-            _parse_vaccine(row[i_vax]),
-        )
-
-    return decode
-
-
-def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple], list[list[str]]]:
-    """Split one batch into the columns of its accepted rows and its rejected rows.
-
-    ``checks`` holds, per checked column, its index, decoder, cache of decoded
-    values and set of rejected raw values; only raw values new to the run are
-    decoded, and the caches grow as they are.
+    A short row's reason is FieldCount; any other rejected row's is that of
+    its first failing column in ``checks`` order. ``checks`` holds, per
+    checked column, its index, decoder, a cache of decoded values and a dict
+    of rejected raw values to their (reason, detail); only raw values new to
+    the run are decoded, and both grow as they are. A reason is kept as a
+    tuple, not as the _Reject: a caught exception holds its frames, and with
+    them the batch it was raised in.
     """
-    rejects = []
+    rejects = {}
+    kept = range(len(rows))  # batch index of each row the columns are read from
     if min(map(len, rows), default=ncols) < ncols:
-        rejects = [row for row in rows if len(row) < ncols]
-        rows = [row for row in rows if len(row) >= ncols]
+        rejects = {j: ("FieldCount", f"{len(row)} fields") for j, row in enumerate(rows) if len(row) < ncols}
+        kept = [j for j in kept if j not in rejects]
+        rows = [rows[j] for j in kept]
     if not rows:
         return [], rejects
+    short = len(rejects)
     columns = list(zip(*rows))
-    flagged: set[int] = set()
     for i, decoder, cache, bad in checks:
         column = columns[i]
         new = set(column).difference(cache)
@@ -495,14 +447,14 @@ def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple
         for raw in new.difference(bad):
             try:
                 cache[raw] = decoder(raw)
-            except _Reject:
-                bad.add(raw)
+            except _Reject as exc:
+                bad[raw] = exc.reason, exc.detail
         new.intersection_update(bad)
-        if new:
-            flagged.update(compress(range(len(column)), map(new.__contains__, column)))
-    if flagged:
-        rejects += [row for j, row in enumerate(rows) if j in flagged]
-        columns = list(zip(*(row for j, row in enumerate(rows) if j not in flagged)))
+        for k in compress(range(len(column)), map(new.__contains__, column)):
+            rejects.setdefault(kept[k], bad[column[k]])  # an earlier column's reason stands
+    if len(rejects) > short:
+        columns = list(zip(*(row for j, row in zip(kept, rows) if j not in rejects)))
+        rejects = dict(sorted(rejects.items()))
     return columns, rejects
 
 
@@ -536,19 +488,20 @@ def _csv_error(exc: csv.Error, line_no: int) -> ValueError:
 
 
 class _Stream:
-    """What both readers share: iteration through the per-row decoder, and
-    the batch-columnar ``count``.
+    """What both readers share: one batch loop (``_batches``) under both
+    iteration and the batch-columnar ``count``.
 
     A reader sets ``stats``, ``_raw``, ``_owns``, ``_encoding``,
     ``_delimiter``, ``_cols`` (required column -> index), ``_reader`` and
     ``_line_offset`` (physical lines read before ``_reader`` started). Its
-    class names the per-row decoder, each record field's column and decoder,
-    and the fields whose decoder can reject.
+    class maps each record field to its column and decoder, names the
+    fields whose decoder can reject in the order a row checks them, and
+    builds records from decoded columns keyed by field.
     """
 
-    _row_decoder: Callable[[dict[str, int]], Callable[[list[str]], object]]
     _decoders: dict[str, tuple[str, Callable[[str], object]]]
     _checked: tuple[str, ...]
+    _records: Callable[[dict[str, Iterator]], Iterator]
 
     @contextlib.contextmanager
     def _closed_on_error(self) -> Iterator[None]:
@@ -561,27 +514,39 @@ class _Stream:
             raise
 
     def __iter__(self) -> Iterator:
-        decode = self._row_decoder(self._cols)
-        stats = self.stats
-        reasons = stats.rejection_reasons
-        reader = self._reader
-        offset = self._line_offset
-        end = reader.line_num + offset  # physical line the header ended on
-        try:
+        """Records and RowErrors in row order, built batch by batch from the
+        decoded columns; ``stats`` advances once per batch."""
+        reader, offset = self._reader, self._line_offset
+        checks = self._checks()
+        caches = {field: cache for field, (_, _, cache, _) in zip(self._checked, checks)}
+        # A checked column reads its decoded values from its check's cache;
+        # any other is decoded cell by cell, so that a column of values that
+        # grow with the rows (an accession) holds no cache.
+        getters = [(field, self._cols[column], caches[field].__getitem__ if field in caches else decoder)
+                   for field, (column, decoder) in self._decoders.items()]
+        starts: list[int] = []  # per row of the batch, the physical line it starts on
+
+        def rows() -> Iterator[list[str]]:
+            end = reader.line_num + offset  # physical line the header ended on
             for row in reader:
-                line_no, end = end + 1, reader.line_num + offset
-                if not row:
-                    continue
-                stats.rows_read += 1
-                try:
-                    record = decode(row)
-                except _Reject as exc:
-                    stats.rows_rejected += 1
-                    reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
-                    yield RowError(line_no, exc.reason, exc.detail)
-                else:
-                    stats.rows_accepted += 1
-                    yield record
+                if row:
+                    starts.append(end + 1)
+                    yield row
+                end = reader.line_num + offset
+
+        try:
+            for columns, rejects in self._batches(rows(), self.stats, checks):
+                records = iter(())
+                if columns:
+                    records = self._records({field: map(get, columns[i]) for field, i, get in getters})
+                done = 0  # rows of the batch yielded so far
+                for j, reject in rejects.items():
+                    yield from islice(records, j - done)
+                    yield RowError(starts[j], *reject)
+                    done = j + 1
+                yield from records
+                starts.clear()
+                del columns, rejects, records  # free this batch before reading the next
         except csv.Error as exc:
             raise _csv_error(exc, reader.line_num + offset) from None
         finally:
@@ -620,50 +585,46 @@ class _Stream:
                 self._raw.close()
 
     def _fold(self, reader: Iterator[list[str]], stats: IngestStats, dims: Sequence[_Dim]) -> Counter[tuple]:
-        """The batch-columnar fold of ``reader``'s rows into a Counter by ``dims``.
-
-        Rows are pulled BATCH_ROWS at a time and transposed into columns.
-        Each column that can reject is checked through its batch's distinct
-        raw values against a per-run cache of decoded values, so every
-        distinct raw value is decoded once per run. A row that is short or
-        holds a value its column rejects goes through the per-row decoder,
-        which names the reason exactly as iterating does. Accepted rows are
-        counted with Counter.update over small-int tokens of their keys
-        (see _Tokens), decoded at the end. csv.Error propagates.
-        """
-        cols = self._cols
-        decode_row = self._row_decoder(cols)
-        ncols = max(cols.values()) + 1
-        checks = []  # per column that can reject: index, decoder, decoded cache, rejected set
-        for field in self._checked:
-            column, decoder = self._decoders[field]
-            checks.append((cols[column], decoder, {}, set()))
+        """``reader``'s accepted rows counted by ``dims`` through the batch
+        loop, with Counter.update over small-int tokens of their keys (see
+        _Tokens), decoded at the end. csv.Error propagates."""
         keys = []  # per dimension: column index, tokens
         for field, fn in dims:
             column, decoder = self._decoders[field]
             key_of = decoder if fn is None else (lambda raw, d=decoder, fn=fn: fn(d(raw)))
-            keys.append((cols[column], _Tokens(key_of)))
-        reasons = stats.rejection_reasons
+            keys.append((self._cols[column], _Tokens(key_of)))
         counts: Counter[tuple] = Counter()
-        while rows := list(islice(reader, BATCH_ROWS)):
-            if not all(rows):
-                rows = [row for row in rows if row]  # blank lines are not rows
-            columns, rejects = _screen(rows, checks, ncols)
-            for row in rejects:
-                try:
-                    decode_row(row)
-                except _Reject as exc:
-                    reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
-            accepted = len(rows) - len(rejects)
-            stats.rows_read += len(rows)
-            stats.rows_rejected += len(rejects)
-            stats.rows_accepted += accepted
-            if accepted and keys:
+        for columns, _ in self._batches(reader, stats, self._checks()):
+            if columns and keys:
                 counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
-            elif accepted:
-                counts[()] += accepted
-            del rows, columns, rejects  # free this batch before reading the next
+            elif columns:
+                counts[()] += len(columns[0])
+            del columns  # free this batch before reading the next
         return _decode_keys(counts, [tokens for _, tokens in keys])
+
+    def _checks(self) -> list[tuple]:
+        """Per field that can reject, in check order, what _screen takes:
+        its column index, decoder, and an empty cache and rejected-value dict."""
+        return [(self._cols[self._decoders[field][0]], self._decoders[field][1], {}, {})
+                for field in self._checked]
+
+    def _batches(self, rows: Iterator[list[str]], stats: IngestStats, checks: list) -> Iterator[tuple]:
+        """The batch loop: ``rows`` pulled BATCH_ROWS at a time and screened
+        (see _screen), yielding each batch's accepted columns and rejects.
+        ``stats`` advances once per batch, its reasons counted in row order."""
+        ncols = max(self._cols.values()) + 1
+        reasons = stats.rejection_reasons
+        while batch := list(islice(rows, BATCH_ROWS)):
+            if not all(batch):
+                batch = [row for row in batch if row]  # blank lines are not rows
+            columns, rejects = _screen(batch, checks, ncols)
+            for reason, _ in rejects.values():
+                reasons[reason] = reasons.get(reason, 0) + 1
+            stats.rows_read += len(batch)
+            stats.rows_rejected += len(rejects)
+            stats.rows_accepted += len(batch) - len(rejects)
+            yield columns, rejects
+            del batch, columns, rejects
 
     def _shard_jobs(self) -> int:
         """Shards ``count`` may split the data into, before the quote scan;
@@ -687,14 +648,15 @@ class SveervStream(_Stream):
     """Single-pass reader over a case-registry CSV.
 
     Iterating yields PatientRecord for accepted rows and RowError for skipped
-    ones. ``stats`` is live during iteration and final afterwards. ``count``
-    is the batch-columnar alternative to iterating: it folds the accepted
-    rows straight into a Counter. A stream is read once, by either.
+    ones. ``stats`` advances once per batch during iteration and is final
+    once iteration ends. ``count`` is the batch-columnar alternative to
+    iterating: it folds the accepted rows straight into a Counter. A stream
+    is read once, by either.
     """
 
-    _row_decoder = staticmethod(_sveerv_row_decoder)
     _decoders = {field: (column, decoder) for column, field, decoder in _COLUMN_DECODERS}
-    _checked = tuple(field for _, field, _ in _COLUMN_DECODERS)  # every column can reject
+    _checked = tuple(_decoders)  # every column can reject
+    _records = staticmethod(_patient_records)
 
     def __init__(self, source: Source, *, delimiter: str = ",", encoding: str = "utf-8"):
         self.stats = IngestStats()
@@ -722,9 +684,9 @@ class GisaidStream(_Stream):
     batch-columnar alternative, which checks only the lineage column.
     """
 
-    _row_decoder = staticmethod(_gisaid_row_decoder)
     _decoders = _GISAID_DECODERS
     _checked = ("pango_lineage",)
+    _records = staticmethod(lambda values: map(SampleRecord, *values.values()))
 
     def __init__(self, source: Source, *, encoding: str = "utf-8"):
         self.stats = IngestStats()

@@ -24,7 +24,7 @@ from .schema import (
     is_positive,
 )
 
-__all__ = ["TableId", "ShapeMismatch", "render", "render_severity_stack", "format_pct"]
+__all__ = ["TableId", "ShapeMismatch", "render", "format_pct"]
 
 
 class TableId(str, Enum):
@@ -395,12 +395,3 @@ def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
     lines.extend("\t".join(_cell_text(c) for c in row) for row in rows)
     lines.extend(trailers)
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def render_severity_stack(reports: Mapping[StratumKey, MetricsReport]) -> bytes:
-    """Per-state severity typology rows (TGI1/TGI2/TGI3) as tsv bytes.
-
-    States whose typology is undefined (no positives) are omitted from the
-    rows and listed in a trailing comment line.
-    """
-    return render(TableId.G5_STACK, reports, "tsv")

@@ -16,7 +16,6 @@ __all__ = [
     "ALIVE_SENTINEL",
     "COMORBIDITY_FIELDS",
     "STATE_NAMES",
-    "UnknownCode",
     "CaseClassification",
     "CodedFlag",
     "TreatmentStrategy",
@@ -24,10 +23,6 @@ __all__ = [
     "SuspectType",
     "LabSampleStatus",
     "PatientRecord",
-    "decode_classification",
-    "decode_flag",
-    "decode_treatment",
-    "decode_sex",
     "is_positive",
     "suspect_type",
 ]
@@ -37,15 +32,6 @@ MAX_AGE = 130
 
 # Death-date column value meaning "no death recorded".
 ALIVE_SENTINEL = "9999-99-99"
-
-
-class UnknownCode(ValueError):
-    """A coded column held a value outside its documented domain."""
-
-    def __init__(self, field: str, code: object):
-        super().__init__(f"{field}: code {code!r} is not in the documented domain")
-        self.field = field
-        self.code = code
 
 
 class CaseClassification(IntEnum):
@@ -204,38 +190,6 @@ class PatientRecord:
     @property
     def died(self) -> bool:
         return self.death_date is not None
-
-
-def decode_classification(code: int) -> CaseClassification:
-    """Decode a CLASIFICACION_FINAL code, raising UnknownCode outside 1-7."""
-    try:
-        return CaseClassification(code)
-    except ValueError:
-        raise UnknownCode("CLASIFICACION_FINAL", code) from None
-
-
-def decode_flag(code: int, field: str = "flag") -> CodedFlag:
-    """Decode a yes/no column, raising UnknownCode outside {1,2,97,98,99}."""
-    try:
-        return CodedFlag(code)
-    except ValueError:
-        raise UnknownCode(field, code) from None
-
-
-def decode_treatment(code: int) -> TreatmentStrategy:
-    try:
-        return TreatmentStrategy(code)
-    except ValueError:
-        raise UnknownCode("TIPO_PACIENTE", code) from None
-
-
-def decode_sex(code: int) -> Sex:
-    """Decode SEXO. Codes other than 1/2 (99 in practice) are Unspecified."""
-    if code == 1:
-        return Sex.FEMALE
-    if code == 2:
-        return Sex.MALE
-    return Sex.UNSPECIFIED
 
 
 def is_positive(classification: CaseClassification) -> bool:

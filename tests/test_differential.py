@@ -119,6 +119,7 @@ def _assert_paths_agree(data: bytes) -> None:
     batch = ingest_sveerv(data)
     batch.count(())
     assert batch.stats == stream.stats
+    assert list(batch.stats.rejection_reasons.items()) == list(stream.stats.rejection_reasons.items())
 
     for cohort in COHORTS:
         for tally in TALLIES:
@@ -206,6 +207,7 @@ def _assert_gisaid_paths_agree(data: bytes) -> None:
     batch = ingest_gisaid(data)
     batch.count(())
     assert batch.stats == stream.stats
+    assert list(batch.stats.rejection_reasons.items()) == list(stream.stats.rejection_reasons.items())
 
     for catalog, labels in CATALOGS.values():
         shares = variant_shares(ingest_gisaid(data), catalog)

@@ -5,7 +5,7 @@ import pytest
 
 from episurv.genomics import StateSummary, VariantShares, state_summary
 from episurv.metrics import stratified_report
-from episurv.report import ShapeMismatch, TableId, format_pct, render, render_severity_stack
+from episurv.report import ShapeMismatch, TableId, format_pct, render
 from episurv.schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -179,10 +179,8 @@ class TestChartTables:
              "positivity_pct": 100.0},
         ]
 
-    def test_g5_stack_and_convenience_wrapper(self):
-        reports = _chart_reports()
-        out = render(TableId.G5_STACK, reports, "tsv")
-        assert out == render_severity_stack(reports)
+    def test_g5_stack(self):
+        out = render(TableId.G5_STACK, _chart_reports(), "tsv")
         lines = out.decode().splitlines()
         assert lines[0] == "state_code\tstate\ttgi1_pct\ttgi2_pct\ttgi3_pct"
         assert lines[1] == "20\tOaxaca\t100.00\t0.00\t0.00"

@@ -1,7 +1,14 @@
+"""The coded domains, the record type and the suspect-type cascade.
+
+Each coded domain is decoded in one place, the registry reader's column
+decoders, so the domain tests read one registry row through ``ingest``.
+"""
+
 from datetime import date
 
 import pytest
 
+from episurv.ingest import RowError, ingest_sveerv
 from episurv.schema import (
     CaseClassification,
     CodedFlag,
@@ -10,14 +17,16 @@ from episurv.schema import (
     Sex,
     SuspectType,
     TreatmentStrategy,
-    UnknownCode,
-    decode_classification,
-    decode_flag,
-    decode_sex,
-    decode_treatment,
     is_positive,
     suspect_type,
 )
+from test_ingest import csv_bytes, row
+
+
+def _read(**cells: str) -> PatientRecord | RowError:
+    """What the reader makes of one registry row with ``cells`` set."""
+    [item] = ingest_sveerv(csv_bytes(row(**cells)))
+    return item
 
 
 def make_record(**overrides) -> PatientRecord:
@@ -40,44 +49,38 @@ def make_record(**overrides) -> PatientRecord:
 
 
 def test_decode_classification_valid_codes():
-    assert decode_classification(1) is CaseClassification.CONFIRMED_BY_ASSOCIATION
-    assert decode_classification(2) is CaseClassification.CONFIRMED_BY_COMMITTEE
-    assert decode_classification(3) is CaseClassification.CONFIRMED_BY_LAB
-    assert decode_classification(7) is CaseClassification.NEGATIVE
+    assert _read(CLASIFICACION_FINAL="1").classification is CaseClassification.CONFIRMED_BY_ASSOCIATION
+    assert _read(CLASIFICACION_FINAL="2").classification is CaseClassification.CONFIRMED_BY_COMMITTEE
+    assert _read(CLASIFICACION_FINAL="3").classification is CaseClassification.CONFIRMED_BY_LAB
+    assert _read(CLASIFICACION_FINAL="7").classification is CaseClassification.NEGATIVE
 
 
 @pytest.mark.parametrize("code", [0, 8, -1, 99])
 def test_decode_classification_rejects_unknown(code):
-    with pytest.raises(UnknownCode) as exc:
-        decode_classification(code)
-    assert exc.value.field == "CLASIFICACION_FINAL"
-    assert exc.value.code == code
+    assert _read(CLASIFICACION_FINAL=str(code)) == RowError(2, "UnknownCode", f"CLASIFICACION_FINAL='{code}'")
 
 
 def test_decode_flag_domain():
-    assert decode_flag(1) is CodedFlag.YES
-    assert decode_flag(2) is CodedFlag.NO
-    assert decode_flag(97) is CodedFlag.NOT_APPLICABLE
-    assert decode_flag(98) is CodedFlag.IGNORED
-    assert decode_flag(99) is CodedFlag.UNSPECIFIED
-    with pytest.raises(UnknownCode) as exc:
-        decode_flag(3, field="UCI")
-    assert exc.value.field == "UCI"
+    assert _read(UCI="1").icu is CodedFlag.YES
+    assert _read(UCI="2").icu is CodedFlag.NO
+    assert _read(UCI="97").icu is CodedFlag.NOT_APPLICABLE
+    assert _read(UCI="98").icu is CodedFlag.IGNORED
+    assert _read(UCI="99").icu is CodedFlag.UNSPECIFIED
+    assert _read(UCI="3") == RowError(2, "UnknownCode", "UCI='3'")
 
 
 def test_decode_treatment():
-    assert decode_treatment(1) is TreatmentStrategy.AMBULATORY
-    assert decode_treatment(2) is TreatmentStrategy.HOSPITALIZED
-    with pytest.raises(UnknownCode):
-        decode_treatment(3)
+    assert _read(TIPO_PACIENTE="1").treatment is TreatmentStrategy.AMBULATORY
+    assert _read(TIPO_PACIENTE="2").treatment is TreatmentStrategy.HOSPITALIZED
+    assert _read(TIPO_PACIENTE="3") == RowError(2, "UnknownCode", "TIPO_PACIENTE='3'")
 
 
 def test_decode_sex_never_raises():
-    # 99 is the documented unspecified code but any stray value folds there too
-    assert decode_sex(1) is Sex.FEMALE
-    assert decode_sex(2) is Sex.MALE
-    assert decode_sex(99) is Sex.UNSPECIFIED
-    assert decode_sex(0) is Sex.UNSPECIFIED
+    # 99 is the documented unspecified code but any other integer folds there too
+    assert _read(SEXO="1").sex is Sex.FEMALE
+    assert _read(SEXO="2").sex is Sex.MALE
+    assert _read(SEXO="99").sex is Sex.UNSPECIFIED
+    assert _read(SEXO="0").sex is Sex.UNSPECIFIED
 
 
 def test_is_positive_partition():

@@ -217,16 +217,24 @@ def _cmd_severity(args) -> int:
 
 
 def _cmd_fixture_gen(args) -> int:
-    from .fixtures import generate_fixture, list_presets, load_preset  # only this command needs them
+    from .fixtures import (  # only this command needs them
+        PRESET_ALIASES,
+        generate_fixture,
+        list_presets,
+        load_preset,
+    )
 
     if args.list:
         _write(("\n".join(list_presets()) + "\n").encode(), args.out)
         return 0
     if args.preset is None:
         return _usage_error(args.parser, "--preset is required (or use --list)")
+    canonical = PRESET_ALIASES.get(args.preset.strip().casefold())
+    if args.rows is not None and canonical not in (None, "smoke"):
+        return _usage_error(args.parser, "--rows applies only to the smoke preset")
     spec = load_preset(args.preset, rows=args.rows, seed=args.seed)
     if args.out in (None, "-"):
-        sys.stdout.buffer.write(generate_fixture(spec))
+        generate_fixture(spec, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     else:
         generate_fixture(spec, args.out)

@@ -15,11 +15,12 @@ tables cell-for-cell when re-aggregated.
 import io
 import json
 import random
+import struct
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from importlib import resources
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Union
 
@@ -454,13 +455,62 @@ _PROFILE_AGE = {
 }
 
 
-def _open_out(out) -> tuple[BinaryIO, bool, bool]:
-    """(stream, owns, buffered) for generator output; None means in-memory."""
+def _open_out(out) -> tuple[BinaryIO, bool]:
+    """(stream, owns) for generator output; None means in-memory."""
     if out is None:
-        return io.BytesIO(), False, False
+        return io.BytesIO(), False
     if isinstance(out, (str, Path)):
-        return open(out, "wb"), True, True
-    return out, False, True
+        return open(out, "wb"), True
+    return out, False
+
+
+# Rows are built and written this many at a time, so memory stays bounded
+# whatever the row count when ``out`` is a path or stream.
+_CHUNK_ROWS = 8192
+
+_NUM_STR = [str(i) for i in range(100)]
+
+# A row's comorbidity flags are drawn with one getrandbits(64 * 10) call in
+# place of ten random() calls. Both take the same 32-bit words from the
+# generator in the same order: random() makes each value from two words a
+# and b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and getrandbits returns
+# its words least significant first. The top byte t of a puts the value in
+# [t / 256, (t + 1) / 256), which settles "value < p" unless p lies inside.
+_FLAG_COUNT = len(COMORBIDITY_FIELDS)
+_FLAG_BITS = 64 * _FLAG_COUNT
+
+# The comorbidity columns for each string of outcomes, b"1" YES or b"2" NO.
+_FLAG_STR = {
+    bytes(outcomes): ",".join(map(chr, outcomes))
+    for outcomes in product(b"12", repeat=_FLAG_COUNT)
+}
+
+
+def _random_values(bits: int, n: int) -> list[float]:
+    """The n random() values made from the words of ``bits = getrandbits(64 * n)``."""
+    words = struct.unpack(f"<{2 * n}I", bits.to_bytes(8 * n, "little"))
+    return [((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+            for a, b in zip(words[::2], words[1::2])]
+
+
+def _flag_plan(probs: dict[str, float]) -> tuple[tuple[float, ...], bytes]:
+    """The YES probabilities in COMORBIDITY_FIELDS order, and a translate()
+    table from a draw's top byte to b"1" (YES), b"2" (NO) or b"?" (undecided).
+
+    Only a profile whose flags share one probability is decided by the top
+    byte; any other leaves every flag undecided.
+    """
+    flag_p = tuple(probs[f] for f in COMORBIDITY_FIELDS)
+    if len(set(flag_p)) > 1:
+        return flag_p, b"?" * 256
+    p = flag_p[0]
+    return flag_p, bytes(
+        ord("1") if (t + 1) / 256 <= p else ord("2") if t / 256 >= p else ord("?")
+        for t in range(256)
+    )
+
+
+_PROFILE_FLAGS = {name: _flag_plan(probs) for name, probs in _PROFILE_P.items()}
 
 
 def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
@@ -480,47 +530,50 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
     if amb_quota is not None:
         rng.shuffle(amb_quota)
         rng.shuffle(hosp_quota)
-    amb_at = hosp_at = 0
+        quota_next = {1: map(str, amb_quota).__next__, 2: map(str, hosp_quota).__next__}
 
-    stream, owns, _ = _open_out(out)
-    random_fn = rng.random
-    date_str = _DATE_STR
-    window = _WINDOW_DAYS
-    profiles = {
-        name: ([_PROFILE_P[name][f] for f in COMORBIDITY_FIELDS], _PROFILE_AGE[name])
-        for name in _PROFILE_P
-    }
+    # Per cell: the source of the state (None draws it), the age range, the
+    # flag probabilities and their top-byte table, and the fixed parts of
+    # the row.
+    plans = []
+    for cell, _ in cells:
+        state_next = None
+        if amb_quota is not None and cell.classification <= 3:
+            state_next = quota_next[cell.treatment]
+        plans.append((
+            state_next, *_PROFILE_AGE[cell.profile], cell.death, *_PROFILE_FLAGS[cell.profile],
+            f",{_SEX_CODES[cell.sex]},",
+            f",1,{cell.treatment},{cell.icu},{cell.intubated},",
+            f",{cell.classification},",
+        ))
+
+    num, dates, window, flag_str = _NUM_STR, _DATE_STR, _WINDOW_DAYS, _FLAG_STR.get
+    draw, getrandbits = rng.random, rng.getrandbits
+    stream, owns = _open_out(out)
     try:
-        chunk: list[str] = [",".join(SVEERV_COLUMNS) + "\n"]
-        for cell_idx in order:
-            cell, _ = cells[cell_idx]
-            positive = cell.classification <= 3
-            if positive and amb_quota is not None:
-                if cell.treatment == 1:
-                    state = amb_quota[amb_at]
-                    amb_at += 1
-                else:
-                    state = hosp_quota[hosp_at]
-                    hosp_at += 1
-            else:
-                state = int(random_fn() * 32) + 1
-            como_p, (age_lo, age_span) = profiles[cell.profile]
-            age = int(random_fn() * age_span) + age_lo
-            onset = int(random_fn() * window)
-            death_s = (
-                date_str[onset + 1 + int(random_fn() * 59)]
-                if cell.death else ALIVE_SENTINEL
-            )
-            flags = ",".join("1" if random_fn() < p else "2" for p in como_p)
-            chunk.append(
-                f"{state},{int(random_fn() * 50) + 1},{_SEX_CODES[cell.sex]},{age},1,"
-                f"{cell.treatment},{cell.icu},{cell.intubated},{death_s},"
-                f"{cell.classification},{date_str[onset]},{flags}\n"
-            )
-            if len(chunk) >= 65536:
-                stream.write("".join(chunk).encode("utf-8"))
-                chunk.clear()
-        stream.write("".join(chunk).encode("utf-8"))
+        stream.write((",".join(SVEERV_COLUMNS) + "\n").encode("utf-8"))
+        for start in range(0, len(order), _CHUNK_ROWS):
+            lines = []
+            for cell_idx in order[start:start + _CHUNK_ROWS]:
+                (state_next, age_lo, age_span, death, flag_p, flag_table,
+                 sex_s, care_s, class_s) = plans[cell_idx]
+                # Draw order: state unless it has a quota, age, onset, the
+                # death day if dead, the flags, then the municipality.
+                state = num[int(draw() * 32) + 1] if state_next is None else state_next()
+                age = num[int(draw() * age_span) + age_lo]
+                onset = int(draw() * window)
+                death_s = dates[onset + 1 + int(draw() * 59)] if death else ALIVE_SENTINEL
+                bits = getrandbits(_FLAG_BITS)
+                # Byte 3 of every 8 is the top byte of a draw's first word.
+                flags = flag_str(bits.to_bytes(_FLAG_BITS // 8, "little")[3::8].translate(flag_table))
+                if flags is None:
+                    flags = ",".join(["1" if value < p else "2"
+                                      for value, p in zip(_random_values(bits, _FLAG_COUNT), flag_p)])
+                lines.append(
+                    f"{state},{num[int(draw() * 50) + 1]}{sex_s}{age}{care_s}"
+                    f"{death_s}{class_s}{dates[onset]},{flags}\n"
+                )
+            stream.write("".join(lines).encode("utf-8"))
     finally:
         if owns:
             stream.close()
@@ -531,17 +584,21 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
 
 # --- genomic plan -----------------------------------------------------------
 
-class _GenRow:
-    __slots__ = ("lineage", "clade", "status", "division", "sex", "age_grp", "vaccine")
+@dataclass
+class _GenomicColumns:
+    """The planned samples, one list entry per sample in plan order.
 
-    def __init__(self, lineage: str, clade: str):
-        self.lineage = lineage
-        self.clade = clade
-        self.status = None
-        self.division = None
-        self.sex = None
-        self.age_grp = None
-        self.vaccine = None
+    None marks a status, division or sex left for the generator to draw.
+    An age is the (low, span) the generator draws it from, or None for an
+    empty age.
+    """
+
+    lineage_clade: list[str] = field(default_factory=list)  # "lineage\tclade"
+    status: list[str | None] = field(default_factory=list)
+    division: list[str | None] = field(default_factory=list)
+    sex: list[str | None] = field(default_factory=list)     # as written
+    age: list[tuple[int, int] | None] = field(default_factory=list)
+    vaccine: list[str] = field(default_factory=list)
 
 
 _STATUS_POOL = (
@@ -554,26 +611,34 @@ _FILLER_DIVISIONS = (
     "Tamaulipas", "Baja California", "Chiapas",
 )
 
+_ANY_AGE = (0, 96)
 _AGE_SPANS = {
     AgeGroup.Y0_20: (0, 21),
     AgeGroup.Y21_40: (21, 20),
     AgeGroup.Y41_59: (41, 19),
     AgeGroup.Y60_PLUS: (60, 36),
+    AgeGroup.UNKNOWN: None,
 }
 
 _GISAID_SEX_OUT = {Sex.FEMALE: "Female", Sex.MALE: "Male", Sex.UNSPECIFIED: ""}
 
 
-def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str]) -> list[_GenRow]:
-    rows: list[_GenRow] = []
-    by_clade: dict[str, list[_GenRow]] = {}
+def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str],
+                        cols: _GenomicColumns) -> None:
+    """Append one block's samples to ``cols``; conflicts are appended, not raised."""
+    by_clade: dict[str, list[int]] = {}
+    first = len(cols.lineage_clade)
     for (lineage, clade) in sorted(block.lineage_clade):
         n = block.lineage_clade[(lineage, clade)]
-        bucket = by_clade.setdefault(clade, [])
-        for _ in range(n):
-            row = _GenRow(lineage, clade)
-            rows.append(row)
-            bucket.append(row)
+        at = len(cols.lineage_clade)
+        by_clade.setdefault(clade, []).extend(range(at, at + n))
+        cols.lineage_clade.extend(repeat(f"{lineage}\t{clade}", n))
+    size = len(cols.lineage_clade) - first
+    cols.status.extend(repeat(None, size))
+    cols.division.extend(repeat(None, size))
+    cols.sex.extend(repeat(None, size))
+    cols.age.extend(repeat(_ANY_AGE, size))
+    cols.vaccine.extend(repeat("", size))
 
     if block.status_clade is not None:
         need = {clade: len(members) for clade, members in by_clade.items()}
@@ -589,8 +654,8 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                     f"{label}: statuses for clade {clade} exceed its {len(members)} samples"
                 )
                 continue
-            for row in members[at:at + n]:
-                row.status = status
+            for i in members[at:at + n]:
+                cols.status[i] = status
             cursor[clade] = at + n
             need[clade] -= n
         for clade, remaining in sorted(need.items()):
@@ -600,7 +665,7 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                     f" of {len(by_clade[clade])} clade-{clade} samples"
                 )
 
-    state_rows: dict[str, list[_GenRow]] = {}
+    state_rows: dict[str, list[int]] = {}
     if block.state_clade is not None:
         # Assign divisions from the tail of each clade group so the
         # status/state joint varies instead of pinning states to the first
@@ -619,8 +684,8 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                 )
                 continue
             taken = members[at:cursor[clade]]
-            for row in taken:
-                row.division = state
+            for i in taken:
+                cols.division[i] = state
             cursor[clade] = at
             state_rows.setdefault(state, []).extend(taken)
 
@@ -656,16 +721,18 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
             if covered == len(members):
                 at = 0
                 for (group, sex), n in cells:
-                    for row in members[at:at + n]:
-                        row.age_grp = group
-                        row.sex = sex
+                    age, sex_s = _AGE_SPANS[group], _GISAID_SEX_OUT[sex]
+                    for i in members[at:at + n]:
+                        cols.age[i] = age
+                        cols.sex[i] = sex_s
                     at += n
         elif block.state_sex is not None:
             at = 0
             for sex in Sex:
                 n = block.state_sex.get((state, sex), 0)
-                for row in members[at:at + n]:
-                    row.sex = sex
+                sex_s = _GISAID_SEX_OUT[sex]
+                for i in members[at:at + n]:
+                    cols.sex[i] = sex_s
                 at += n
         if block.state_vaccine is not None:
             doses = [(v, n) for (s, v), n in block.state_vaccine.items() if s == state]
@@ -678,10 +745,9 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
             else:
                 at = 0
                 for vaccine, n in doses:
-                    for row in members[at:at + n]:
-                        row.vaccine = vaccine
+                    for i in members[at:at + n]:
+                        cols.vaccine[i] = vaccine
                     at += n
-    return rows
 
 
 def generate_genomic_fixture(spec: GenomicMarginalSpec, out=None) -> bytes | None:
@@ -690,49 +756,50 @@ def generate_genomic_fixture(spec: GenomicMarginalSpec, out=None) -> bytes | Non
     Same output conventions as generate_epi_fixture.
     """
     conflicts: list[str] = []
-    rows: list[tuple[_GenRow, tuple[str, ...]]] = []
+    cols = _GenomicColumns()
+    pools: list[tuple[int, int, tuple[str, ...]]] = []  # (first, end, filler divisions)
     for label, block in spec.blocks.items():
-        block_rows = _plan_genomic_block(label, block, conflicts)
+        first = len(cols.lineage_clade)
+        _plan_genomic_block(label, block, conflicts, cols)
         named = {state for (state, _) in (block.state_clade or {})}
         pool = tuple(d for d in _FILLER_DIVISIONS if d not in named) or ("Other",)
-        rows.extend((row, pool) for row in block_rows)
+        pools.append((first, len(cols.lineage_clade), pool))
     if conflicts:
         raise InconsistentMarginals(conflicts)
 
     rng = random.Random(spec.seed)
     random_fn = rng.random
-    for row, pool in rows:
-        if row.status is None:
-            row.status = _STATUS_POOL[int(random_fn() * len(_STATUS_POOL))]
-        if row.division is None:
-            row.division = pool[int(random_fn() * len(pool))]
-        if row.sex is None:
-            row.sex = Sex.FEMALE if random_fn() < 0.5 else Sex.MALE
+    lineage_clade, status, division, sex, age, vaccine = (
+        cols.lineage_clade, cols.status, cols.division, cols.sex, cols.age, cols.vaccine)
+    n_status = len(_STATUS_POOL)
+    for first, end, pool in pools:
+        n_pool = len(pool)
+        for i in range(first, end):
+            if status[i] is None:
+                status[i] = _STATUS_POOL[int(random_fn() * n_status)]
+            if division[i] is None:
+                division[i] = pool[int(random_fn() * n_pool)]
+            if sex[i] is None:
+                sex[i] = "Female" if random_fn() < 0.5 else "Male"
 
-    flattened = [row for row, _ in rows]
-    rng.shuffle(flattened)
+    # Shuffling the indices permutes them exactly as shuffling the samples would.
+    order = list(range(len(lineage_clade)))
+    rng.shuffle(order)
 
-    stream, owns, _ = _open_out(out)
+    num, dates, days = _NUM_STR, _DATE_STR, _WINDOW_DAYS + 60
+    stream, owns = _open_out(out)
     try:
-        chunk = ["\t".join(GISAID_COLUMNS) + "\n"]
-        for i, row in enumerate(flattened):
-            if row.age_grp is AgeGroup.UNKNOWN:
-                age_s = ""
-            elif row.age_grp is not None:
-                lo, span = _AGE_SPANS[row.age_grp]
-                age_s = str(int(random_fn() * span) + lo)
-            else:
-                age_s = str(int(random_fn() * 96))
-            collected = _DATE_STR[int(random_fn() * (_WINDOW_DAYS + 60))]
-            chunk.append(
-                f"EPI_ISL_{i + 1:07d}\t{collected}\t{row.division}\t{row.lineage}\t"
-                f"{row.clade}\t{row.status}\t{age_s}\t{_GISAID_SEX_OUT[row.sex]}\t"
-                f"{row.vaccine or ''}\n"
-            )
-            if len(chunk) >= 65536:
-                stream.write("".join(chunk).encode("utf-8"))
-                chunk.clear()
-        stream.write("".join(chunk).encode("utf-8"))
+        stream.write(("\t".join(GISAID_COLUMNS) + "\n").encode("utf-8"))
+        for start in range(0, len(order), _CHUNK_ROWS):
+            lines = []
+            for accession, i in enumerate(order[start:start + _CHUNK_ROWS], start + 1):
+                span = age[i]
+                age_s = "" if span is None else num[int(random_fn() * span[1]) + span[0]]
+                lines.append(
+                    f"EPI_ISL_{accession:07d}\t{dates[int(random_fn() * days)]}\t{division[i]}\t"
+                    f"{lineage_clade[i]}\t{status[i]}\t{age_s}\t{sex[i]}\t{vaccine[i]}\n"
+                )
+            stream.write("".join(lines).encode("utf-8"))
     finally:
         if owns:
             stream.close()

@@ -366,6 +366,25 @@ class TestFixtureGen:
                      "--seed", "3"]) == 0
         assert capsys.readouterr().out.encode() == target.read_bytes()
 
+    def test_stdout_streams_the_same_bytes_as_out(self, tmp_path, capsysbinary):
+        target = tmp_path / "gisaid.tsv"
+        assert main(["fixture-gen", "--preset", "annex-gisaid", "--seed", "2",
+                     "--out", str(target)]) == 0
+        capsysbinary.readouterr()
+        assert main(["fixture-gen", "--preset", "annex-gisaid", "--seed", "2"]) == 0
+        assert capsysbinary.readouterr().out == target.read_bytes()
+
+    @pytest.mark.parametrize("preset", ["annex-epi", "Table8"])
+    def test_rows_needs_the_smoke_preset(self, preset, tmp_path, capsys):
+        target = tmp_path / "never.csv"
+        assert main(["fixture-gen", "--preset", preset, "--rows", "10",
+                     "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["episurv fixture-gen: error: --rows applies only to the smoke preset"]
+        assert not target.exists()
+
     def test_dash_out_means_stdout(self, capsys):
         assert main(["fixture-gen", "--preset", "smoke", "--rows", "40",
                      "--out", "-"]) == 0

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -17,6 +18,8 @@ from episurv.fixtures import (
     random_patient_records,
     smoke_epi_spec,
     write_sveerv_csv,
+    _PROFILE_FLAGS,
+    _random_values,
 )
 from episurv.ingest import ingest_gisaid, ingest_sveerv
 from episurv.metrics import AgeGroup, CaseCounts
@@ -170,6 +173,25 @@ class TestEpiGeneration:
         items = list(stream.records())
         assert len(items) == 500
         assert stream.stats.rows_rejected == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    def test_flag_words_are_the_random_draws(self, seed):
+        words, draws = random.Random(seed), random.Random(seed)
+        for n in (1, 10, 25):
+            values = _random_values(words.getrandbits(64 * n), n)
+            assert values == [draws.random() for _ in range(n)]
+            assert words.getstate() == draws.getstate()
+
+    @pytest.mark.parametrize("profile", sorted(_PROFILE_FLAGS))
+    def test_top_byte_decides_flags_exactly(self, profile):
+        flag_p, table = _PROFILE_FLAGS[profile]
+        rng = random.Random(profile)
+        for _ in range(2000):
+            bits = rng.getrandbits(64 * len(flag_p))
+            decided = bits.to_bytes(8 * len(flag_p), "little")[3::8].translate(table)
+            exact = _random_values(bits, len(flag_p))
+            for outcome, value, p in zip(decided, exact, flag_p):
+                assert outcome == ord("?") or (outcome == ord("1")) == (value < p)
 
 
 class TestRoundTrip:

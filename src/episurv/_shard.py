@@ -5,16 +5,15 @@ command compiles ``ingest`` as it starts, and the parser's memory for that
 module sets the peak RSS of the small commands.
 """
 
-import csv
 import io
 import os
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .ingest import IngestStats, _csv_error, _decoded_lines, _Dim, _Stream
+from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
 
-# Bytes per os.pread of the quote scan and the cut search; 1 MiB chunks
-# raised the peak RSS of `genomic-report` by about 0.8 MB.
+# Bytes per os.pread of the scans and per read of a range's buffer; 1 MiB
+# chunks raised the peak RSS of `genomic-report` by about 0.8 MB.
 _SCAN_BYTES = 1 << 16
 
 
@@ -53,17 +52,13 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> Counter[tuple] | 
                 os.close(w)
             workers.append((pid, open(r, "rb")))
         total: Counter[tuple] = Counter()
-        line_no = stream._reader.line_num + stream._line_offset  # the header's lines
         part = _count_range(stream, *ranges[0], dims)
         while True:
-            counts, stats, lines, error = part
-            if error is not None:
-                raise _csv_error(error, line_no + lines)
+            counts, stats = part
             total.update(counts)
             merged = stream.stats.merge(stats)
             for name in IngestStats.__slots__:  # in place: callers may hold stream.stats
                 setattr(stream.stats, name, getattr(merged, name))
-            line_no += lines
             if not workers:
                 return total
             pid, pipe = workers[0]
@@ -90,17 +85,20 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> Counter[tuple] | 
             os.waitpid(pid, 0)
 
 
-def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) -> tuple:
-    """Fold bytes [start, end) of the stream's file: (Counter, IngestStats,
-    physical lines read, None), or on malformed CSV (None, None, the range's
-    line that broke, the csv.Error message)."""
+def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) -> tuple[Counter[tuple], IngestStats]:
+    """Fold bytes [start, end) of the stream's file into its Counter and
+    IngestStats. Malformed CSV raises _MalformedCSV with the whole-file line:
+    ``start`` follows a newline, so the lines before the range are the
+    newlines before ``start``."""
     stats = IngestStats()
-    with io.BufferedReader(_ByteRange(stream._raw.fileno(), start, end)) as raw:
-        reader = csv.reader(_decoded_lines(raw, stream._encoding, stats), delimiter=stream._delimiter)
+    fd = stream._raw.fileno()
+    with io.BufferedReader(_ByteRange(fd, start, end), buffer_size=_SCAN_BYTES) as raw:
         try:
-            return stream._fold(reader, stats, dims), stats, reader.line_num, None
-        except csv.Error as exc:
-            return None, None, reader.line_num, str(exc)
+            return stream._fold(raw, stats, dims), stats
+        except _MalformedCSV as exc:
+            line_no, reason = exc.args
+            raise _MalformedCSV(sum(chunk.count(b"\n") for chunk in _chunks(fd, 0, start)) + line_no,
+                                reason) from None
 
 
 def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) -> None:
@@ -138,17 +136,18 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
+def _chunks(fd: int, start: int, end: int) -> Iterator[bytes]:
+    """Bytes [start, end) of ``fd``, _SCAN_BYTES per os.pread."""
+    return (os.pread(fd, min(_SCAN_BYTES, end - pos), pos) for pos in range(start, end, _SCAN_BYTES))
+
+
 def _holds_quote(fd: int, start: int, end: int) -> bool:
-    return any(b'"' in os.pread(fd, min(_SCAN_BYTES, end - pos), pos)
-               for pos in range(start, end, _SCAN_BYTES))
+    return any(b'"' in chunk for chunk in _chunks(fd, start, end))
 
 
 def _line_end(fd: int, pos: int, end: int) -> int:
     """The byte after the first newline at or after ``pos``, or ``end``."""
-    while pos < end:
-        chunk = os.pread(fd, min(_SCAN_BYTES, end - pos), pos)
-        if not chunk:
-            break
+    for chunk in _chunks(fd, pos, end):
         newline = chunk.find(b"\n")
         if newline >= 0:
             return pos + newline + 1

@@ -11,6 +11,7 @@ CSV, missing columns, inconsistent marginals, unknown preset).
 """
 
 import argparse
+import codecs
 import sys
 from datetime import date
 from pathlib import Path
@@ -78,6 +79,22 @@ def _sex_list(text: str) -> frozenset[Sex]:
 
 def _name_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _encoding(text: str) -> str:
+    """A codec that decodes bytes to text: not unknown, and not one like ``hex``."""
+    try:
+        if codecs.lookup(text)._is_text_encoding:
+            return text
+    except LookupError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a text encoding")
+
+
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, not {text!r}")
+    return text
 
 
 def _group_by(text: str) -> tuple[str, ...]:
@@ -256,11 +273,11 @@ def _add_io(p: argparse.ArgumentParser, *, gisaid: bool = False) -> None:
                    help="output path (default: stdout)")
     p.add_argument("--format", "-f", choices=("tsv", "json", "markdown"),
                    default="tsv", help="output format (default tsv)")
-    p.add_argument("--encoding", default="utf-8",
+    p.add_argument("--encoding", type=_encoding, default="utf-8",
                    help="input encoding (default utf-8; bad lines fall back to latin-1)")
     if not gisaid:
-        p.add_argument("--delimiter", default=",",
-                       help="field delimiter (default ,)")
+        p.add_argument("--delimiter", type=_delimiter, default=",",
+                       help="field delimiter, one character (default ,)")
 
 
 def _add_cohort(p: argparse.ArgumentParser) -> None:

@@ -1011,8 +1011,8 @@ def list_presets() -> list[str]:
 def load_preset(name: str, *, rows: int | None = None, seed: int | None = None):
     """Resolve a preset name to its marginal spec.
 
-    ``rows`` applies only to the smoke preset; ``seed`` overrides the spec's
-    seed for any preset.
+    ``rows`` applies only to the smoke preset (any other raises ValueError);
+    ``seed`` overrides the spec's seed for any preset.
     """
     canonical = PRESET_ALIASES.get(name.strip().casefold())
     if canonical is None:
@@ -1020,6 +1020,8 @@ def load_preset(name: str, *, rows: int | None = None, seed: int | None = None):
     if canonical == "smoke":
         return smoke_epi_spec(rows if rows is not None else 100_000,
                               seed if seed is not None else 0)
+    if rows is not None:
+        raise ValueError("rows applies only to the smoke preset")
     raw = json.loads(
         resources.files("episurv.presets").joinpath(_PRESET_FILES[canonical]).read_text("utf-8")
     )

@@ -1,11 +1,12 @@
 """Streaming, validating readers for the two input formats.
 
 Both readers make a single pass over their source and never buffer the
-file. They read it through one batch loop: it pulls BATCH_ROWS rows at a
-time, transposes them into columns and checks each column that can reject
-through the batch's distinct raw values, with one decoder per column; each
-distinct raw value is decoded once per run. Every registry column can
-reject; of the genomic columns only the lineage can. A row is rejected as
+file. They read it through one batch loop: it reads BATCH_ROWS lines at a
+time, splits them into rows (see Splitting), transposes the rows into
+columns and checks each column that can reject through the batch's
+distinct raw values, with one decoder per column; each distinct raw value
+is decoded once per run. Every registry column can reject; of the genomic
+columns only the lineage can. A row is rejected as
 FieldCount when it is short, else with the reason of its first failing
 column in check order. Iterating builds the records of a batch from its
 decoded columns and yields them in row order, each rejected row as a
@@ -25,6 +26,16 @@ as ``int()`` does, so surrounding whitespace and leading zeros are ignored:
 " 3" and "03" read as 3, and a blank age is unknown. The two date columns
 are read verbatim.
 
+Splitting: a batch's rows are the ones csv.reader gives for its lines.
+Under UTF-8 a batch is decoded in one call; under any other codec, or when
+that call fails, line by line, a line that fails falling back to latin-1.
+A batch whose text holds no ``"``, carriage return or NUL, no blank line
+and no line over csv.field_size_limit() is split on newlines, then on the
+delimiter, with str.split, which gives csv.reader's rows exactly. Any other
+batch goes to csv.reader: over its own lines when it holds no ``"``, since
+each line then parses alone; else over its lines and the rest of the file,
+since a quoted field may span lines.
+
 Malformed CSV: a line the csv module cannot split (a carriage return inside
 an unquoted field, a field over csv.field_size_limit()) raises ValueError
 naming the physical line, from iteration and ``count`` alike.
@@ -37,14 +48,15 @@ holds no ``"``, since a quoted field may span lines. The data is cut just
 after a newline into one byte range per usable CPU, as many as hold
 SHARD_MIN_BYTES each. The process folds the first range itself and forks one worker per
 other range (``episurv._shard``); each reads its range with ``os.pread``,
-so no file offset is shared, through the same line decode, CSV split and
-batch fold, and sends back its Counter, IngestStats and physical line
-count. The parts merge in file order, so the Counter equals a whole-file
-pass item for item and in insertion order, and the stats and any
-malformed-CSV line number are those of a whole-file pass. Iteration and
-``records()`` always read serially.
+so no file offset is shared, through the same batch reader and fold, and
+sends back its Counter and IngestStats. The parts merge in file order, so
+the Counter equals a whole-file pass item for item and in insertion order,
+and the stats are those of a whole-file pass; a malformed line is numbered
+by the newlines before its range. Iteration and ``records()`` always read
+serially.
 """
 
+import codecs
 import contextlib
 import csv
 import functools
@@ -57,7 +69,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -212,15 +224,23 @@ def _open_source(source: Source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def _decoded_lines(raw: BinaryIO, encoding: str, stats: IngestStats) -> Iterator[str]:
+def _line_batches(raw: BinaryIO, stats: IngestStats, size: int) -> Iterator[list[bytes]]:
+    """``raw``'s lines, ``size`` at a time; ``stats.bytes_read`` counts them."""
+    while batch := list(islice(raw, size)):
+        stats.bytes_read += sum(map(len, batch))
+        yield batch
+
+
+def _decode_lines(lines: list[bytes], encoding: str) -> list[str]:
     # Per-line decode with a latin-1 fallback: exports mix encodings and a
     # stray byte must not reject the row. latin-1 never fails.
-    for line in raw:
-        stats.bytes_read += len(line)
+    decoded = []
+    for line in lines:
         try:
-            yield line.decode(encoding)
+            decoded.append(line.decode(encoding))
         except UnicodeDecodeError:
-            yield line.decode("latin-1")
+            decoded.append(line.decode("latin-1"))
+    return decoded
 
 
 def _resolve_header(
@@ -483,8 +503,33 @@ def _decode_keys(counts: Counter[tuple], dims: list[_Tokens]) -> Counter[tuple]:
     return Counter({tuple(map(operator.getitem, values, key)): n for key, n in counts.items()})
 
 
-def _csv_error(exc: csv.Error, line_no: int) -> ValueError:
-    return ValueError(f"line {line_no}: malformed CSV: {exc}")
+class _MalformedCSV(ValueError):
+    """A line the csv module cannot split: ``args`` are its physical line and
+    the csv.Error message, kept apart so that a shard can renumber the line."""
+
+    def __str__(self) -> str:
+        return "line %d: malformed CSV: %s" % self.args
+
+
+def _csv_batches(reader, line_no: int) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """``reader``'s rows BATCH_ROWS at a time, blank rows dropped, each batch
+    with the physical line each row starts on; ``line_no`` lines were read
+    before ``reader``'s first. csv.Error raises _MalformedCSV."""
+    rows, starts = [], []
+    start = line_no + 1
+    try:
+        for k, row in enumerate(reader, 1):
+            if row:
+                rows.append(row)
+                starts.append(start)
+            start = line_no + reader.line_num + 1
+            if k % BATCH_ROWS == 0:
+                yield rows, starts
+                rows, starts = [], []
+    except csv.Error as exc:
+        raise _MalformedCSV(line_no + reader.line_num, str(exc)) from None
+    if rows:
+        yield rows, starts
 
 
 class _Stream:
@@ -492,8 +537,8 @@ class _Stream:
     iteration and the batch-columnar ``count``.
 
     A reader sets ``stats``, ``_raw``, ``_owns``, ``_encoding``,
-    ``_delimiter``, ``_cols`` (required column -> index), ``_reader`` and
-    ``_line_offset`` (physical lines read before ``_reader`` started). Its
+    ``_delimiter``, ``_cols`` (required column -> index) and
+    ``_line_offset`` (the header's physical lines). Its
     class maps each record field to its column and decoder, names the
     fields whose decoder can reject in the order a row checks them, and
     builds records from decoded columns keyed by field.
@@ -516,7 +561,6 @@ class _Stream:
     def __iter__(self) -> Iterator:
         """Records and RowErrors in row order, built batch by batch from the
         decoded columns; ``stats`` advances once per batch."""
-        reader, offset = self._reader, self._line_offset
         checks = self._checks()
         caches = {field: cache for field, (_, _, cache, _) in zip(self._checked, checks)}
         # A checked column reads its decoded values from its check's cache;
@@ -524,18 +568,8 @@ class _Stream:
         # grow with the rows (an accession) holds no cache.
         getters = [(field, self._cols[column], caches[field].__getitem__ if field in caches else decoder)
                    for field, (column, decoder) in self._decoders.items()]
-        starts: list[int] = []  # per row of the batch, the physical line it starts on
-
-        def rows() -> Iterator[list[str]]:
-            end = reader.line_num + offset  # physical line the header ended on
-            for row in reader:
-                if row:
-                    starts.append(end + 1)
-                    yield row
-                end = reader.line_num + offset
-
         try:
-            for columns, rejects in self._batches(rows(), self.stats, checks):
+            for columns, rejects, starts in self._batches(self._raw, self.stats, checks, self._line_offset):
                 records = iter(())
                 if columns:
                     records = self._records({field: map(get, columns[i]) for field, i, get in getters})
@@ -545,10 +579,7 @@ class _Stream:
                     yield RowError(starts[j], *reject)
                     done = j + 1
                 yield from records
-                starts.clear()
-                del columns, rejects, records  # free this batch before reading the next
-        except csv.Error as exc:
-            raise _csv_error(exc, reader.line_num + offset) from None
+                del columns, rejects, records, starts  # free this batch before reading the next
         finally:
             if self._owns:
                 self._raw.close()
@@ -576,25 +607,22 @@ class _Stream:
                 counts = _shard.count(self, jobs, dims)
                 if counts is not None:
                     return counts
-            try:
-                return self._fold(self._reader, self.stats, dims)
-            except csv.Error as exc:
-                raise _csv_error(exc, self._reader.line_num + self._line_offset) from None
+            return self._fold(self._raw, self.stats, dims, self._line_offset)
         finally:
             if self._owns:
                 self._raw.close()
 
-    def _fold(self, reader: Iterator[list[str]], stats: IngestStats, dims: Sequence[_Dim]) -> Counter[tuple]:
-        """``reader``'s accepted rows counted by ``dims`` through the batch
-        loop, with Counter.update over small-int tokens of their keys (see
-        _Tokens), decoded at the end. csv.Error propagates."""
+    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], line_no: int = 0) -> Counter[tuple]:
+        """``raw``'s accepted rows counted by ``dims`` through the batch loop,
+        with Counter.update over small-int tokens of their keys (see
+        _Tokens), decoded at the end; ``line_no`` lines precede ``raw``."""
         keys = []  # per dimension: column index, tokens
         for field, fn in dims:
             column, decoder = self._decoders[field]
             key_of = decoder if fn is None else (lambda raw, d=decoder, fn=fn: fn(d(raw)))
             keys.append((self._cols[column], _Tokens(key_of)))
         counts: Counter[tuple] = Counter()
-        for columns, _ in self._batches(reader, stats, self._checks()):
+        for columns, _, _ in self._batches(raw, stats, self._checks(), line_no):
             if columns and keys:
                 counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
             elif columns:
@@ -608,23 +636,59 @@ class _Stream:
         return [(self._cols[self._decoders[field][0]], self._decoders[field][1], {}, {})
                 for field in self._checked]
 
-    def _batches(self, rows: Iterator[list[str]], stats: IngestStats, checks: list) -> Iterator[tuple]:
-        """The batch loop: ``rows`` pulled BATCH_ROWS at a time and screened
-        (see _screen), yielding each batch's accepted columns and rejects.
-        ``stats`` advances once per batch, its reasons counted in row order."""
+    def _batches(self, raw: BinaryIO, stats: IngestStats, checks: list, line_no: int) -> Iterator[tuple]:
+        """The batch loop: each batch of rows from the batch reader (``_rows``)
+        screened (see _screen), yielding its accepted columns, its rejects and
+        the physical line each row starts on. ``stats`` advances once per
+        batch, its reasons counted in row order."""
         ncols = max(self._cols.values()) + 1
         reasons = stats.rejection_reasons
-        while batch := list(islice(rows, BATCH_ROWS)):
-            if not all(batch):
-                batch = [row for row in batch if row]  # blank lines are not rows
-            columns, rejects = _screen(batch, checks, ncols)
+        for rows, starts in self._rows(raw, stats, line_no):
+            columns, rejects = _screen(rows, checks, ncols)
             for reason, _ in rejects.values():
                 reasons[reason] = reasons.get(reason, 0) + 1
-            stats.rows_read += len(batch)
+            stats.rows_read += len(rows)
             stats.rows_rejected += len(rejects)
-            stats.rows_accepted += len(batch) - len(rejects)
-            yield columns, rejects
-            del batch, columns, rejects
+            stats.rows_accepted += len(rows) - len(rejects)
+            yield columns, rejects, starts
+            del rows, columns, rejects, starts
+
+    def _rows(self, raw: BinaryIO, stats: IngestStats, line_no: int) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
+        """The batch reader: the rows csv.reader would read from ``raw``'s
+        lines, per batch of BATCH_ROWS lines (of rows, from the first ``"``
+        on), blank rows dropped, with the physical line each row starts on;
+        ``line_no`` lines precede ``raw``. See the module docstring for when
+        a batch is split with str.split."""
+        encoding, delimiter = self._encoding, self._delimiter
+        utf8 = codecs.lookup(encoding).name == "utf-8"
+        batches = _line_batches(raw, stats, BATCH_ROWS)
+        for batch in batches:
+            n, lines, text = len(batch), None, None
+            if utf8:  # one decode per batch; under utf-8-sig it would strip only the first line's BOM
+                try:
+                    text = b"".join(batch).decode("utf-8").removesuffix("\n")
+                except UnicodeDecodeError:
+                    pass
+            if text is None:  # a codec may decode a line to more than one newline: more pieces than lines
+                lines = _decode_lines(batch, encoding)
+                text = "\n".join([line.removesuffix("\n") for line in lines])
+            pieces = text.split("\n")  # never splitlines(): it also splits on \x0b, \x1c and U+2028
+            limit = csv.field_size_limit()
+            if ('"' in text or "\r" in text or "\0" in text or len(pieces) != n or "" in pieces
+                    or len(text) > limit and max(map(len, pieces)) > limit):
+                lines = lines or _decode_lines(batch, encoding)
+                if '"' in text:  # a quoted field may span lines: one reader to the end
+                    rest = (line for more in batches for line in _decode_lines(more, encoding))
+                    yield from _csv_batches(csv.reader(chain(lines, rest), delimiter=delimiter), line_no)
+                    return
+                yield from _csv_batches(csv.reader(lines, delimiter=delimiter), line_no)
+            else:
+                batch.clear()  # _line_batches holds it until the next batch
+                rows = list(map(str.split, pieces, repeat(delimiter)))
+                del lines, text, pieces
+                yield rows, range(line_no + 1, line_no + n + 1)
+                del rows
+            line_no += n
 
     def _shard_jobs(self) -> int:
         """Shards ``count`` may split the data into, before the quote scan;
@@ -662,17 +726,18 @@ class SveervStream(_Stream):
         self.stats = IngestStats()
         self._raw, self._owns = _open_source(source)
         self._encoding, self._delimiter = encoding, delimiter
-        self._lines = _decoded_lines(self._raw, encoding, self.stats)
-        self._reader = csv.reader(self._lines, delimiter=delimiter)
-        self._line_offset = 0
         with self._closed_on_error():
+            # The header is the first row csv.reader splits, read a line at a
+            # time so that no data line is read before the batch reader.
+            lines = (line for batch in _line_batches(self._raw, self.stats, 1)
+                     for line in _decode_lines(batch, encoding))
+            reader = csv.reader(lines, delimiter=delimiter)
             try:
-                header = next(self._reader)
-            except StopIteration:
-                header = []
+                header = next(reader, [])
             except csv.Error as exc:
-                raise _csv_error(exc, self._reader.line_num) from None
+                raise _MalformedCSV(reader.line_num, str(exc)) from None
             self._cols = _resolve_header(header, SVEERV_COLUMNS)
+        self._line_offset = reader.line_num
 
 
 class GisaidStream(_Stream):
@@ -691,21 +756,16 @@ class GisaidStream(_Stream):
     def __init__(self, source: Source, *, encoding: str = "utf-8"):
         self.stats = IngestStats()
         self._raw, self._owns = _open_source(source)
-        self._lines = _decoded_lines(self._raw, encoding, self.stats)
         with self._closed_on_error():
-            try:
-                header_line = next(self._lines)
-            except StopIteration:
-                header_line = ""
+            header_line = "".join(_decode_lines(next(_line_batches(self._raw, self.stats, 1), []), encoding))
             delimiter = "\t" if "\t" in header_line else ","
             try:
                 header = next(csv.reader([header_line], delimiter=delimiter), [])
             except csv.Error as exc:
-                raise _csv_error(exc, 1) from None
+                raise _MalformedCSV(1, str(exc)) from None
             self._cols = _resolve_header(header, GISAID_COLUMNS, _GISAID_ALIASES)
         self._encoding, self._delimiter = encoding, delimiter
-        self._reader = csv.reader(self._lines, delimiter=delimiter)
-        self._line_offset = 1  # the header line, read before the reader started
+        self._line_offset = 1  # the header line
 
 
 def _same(value):

@@ -55,6 +55,29 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["epi-report", "--encoding", "nope"], "episurv epi-report: error: argument --encoding: 'nope' is not a text encoding"),
+        (["validate", "--kind", "gisaid", "--encoding", "nope"],
+         "episurv validate: error: argument --encoding: 'nope' is not a text encoding"),
+        (["genomic-report", "--encoding", "hex"],
+         "episurv genomic-report: error: argument --encoding: 'hex' is not a text encoding"),
+        (["epi-report", "--delimiter", "ab"],
+         "episurv epi-report: error: argument --delimiter: must be exactly one character, not 'ab'"),
+        (["rank", "--delimiter="], "episurv rank: error: argument --delimiter: must be exactly one character, not ''"),
+    ])
+    def test_encoding_and_delimiter_are_checked_before_reading(self, argv, error, epi_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-i", epi_file])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
+
+    @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
+                                      ["epi-report", "--encoding", "latin-1", "--delimiter", ","]])
+    def test_a_valid_encoding_and_delimiter_read(self, argv, epi_file):
+        assert main([*argv, "-i", epi_file]) == 0
+
     def test_fixture_gen_needs_preset_or_list(self, capsys):
         assert main(["fixture-gen"]) == 1
         assert "--preset is required" in capsys.readouterr().err

@@ -366,6 +366,13 @@ class TestDispatchAndPresets:
         spec = load_preset("smoke", rows=500)
         assert sum(spec.classification_sex.values()) == 500
 
+    @pytest.mark.parametrize("name", ["annex-epi", "annex-gisaid", "annex-delta", "Table8", " table1 "])
+    def test_rows_applies_only_to_smoke(self, name):
+        with pytest.raises(ValueError, match="^rows applies only to the smoke preset$"):
+            load_preset(name, rows=10)
+        with pytest.raises(ValueError, match="^rows applies only to the smoke preset$"):
+            load_preset(name, rows=58739, seed=1)
+
     def test_annex_preset_shapes(self):
         epi = load_preset("annex-epi")
         assert sum(epi.classification_sex.values()) == 58739

@@ -12,8 +12,8 @@ from typing import Iterator, Sequence
 
 from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
 
-# Bytes per os.pread of the scans and per read of a range's buffer; 1 MiB
-# chunks raised the peak RSS of `genomic-report` by about 0.8 MB.
+# Bytes per os.pread of the quote scan and the cut search; 1 MiB chunks
+# raised the peak RSS of `genomic-report` by about 0.8 MB.
 _SCAN_BYTES = 1 << 16
 
 
@@ -92,7 +92,7 @@ def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) ->
     newlines before ``start``."""
     stats = IngestStats()
     fd = stream._raw.fileno()
-    with io.BufferedReader(_ByteRange(fd, start, end), buffer_size=_SCAN_BYTES) as raw:
+    with io.BufferedReader(_ByteRange(fd, start, end)) as raw:
         try:
             return stream._fold(raw, stats, dims), stats
         except _MalformedCSV as exc:

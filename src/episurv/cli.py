@@ -11,7 +11,6 @@ CSV, missing columns, inconsistent marginals, unknown preset).
 """
 
 import argparse
-import codecs
 import sys
 from datetime import date
 from pathlib import Path
@@ -82,13 +81,15 @@ def _name_list(text: str) -> list[str]:
 
 
 def _encoding(text: str) -> str:
-    """A codec that decodes bytes to text: not unknown, and not one like ``hex``."""
+    """A codec that decodes the newline byte to a newline, as reading a file
+    cut into lines at that byte needs: not unknown, not a bytes-to-bytes
+    codec like ``hex``, and not UTF-16 or UTF-32."""
     try:
-        if codecs.lookup(text)._is_text_encoding:
+        if b"\n".decode(text) == "\n":
             return text
-    except LookupError:
+    except (LookupError, UnicodeError):
         pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a text encoding")
+    raise argparse.ArgumentTypeError(f"{text!r} is not a text encoding with a one-byte newline")
 
 
 def _delimiter(text: str) -> str:

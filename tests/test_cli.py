@@ -56,11 +56,16 @@ class TestUsageErrors:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, error", [
-        (["epi-report", "--encoding", "nope"], "episurv epi-report: error: argument --encoding: 'nope' is not a text encoding"),
+        (["epi-report", "--encoding", "nope"],
+         "episurv epi-report: error: argument --encoding: 'nope' is not a text encoding with a one-byte newline"),
         (["validate", "--kind", "gisaid", "--encoding", "nope"],
-         "episurv validate: error: argument --encoding: 'nope' is not a text encoding"),
+         "episurv validate: error: argument --encoding: 'nope' is not a text encoding with a one-byte newline"),
         (["genomic-report", "--encoding", "hex"],
-         "episurv genomic-report: error: argument --encoding: 'hex' is not a text encoding"),
+         "episurv genomic-report: error: argument --encoding: 'hex' is not a text encoding with a one-byte newline"),
+        (["epi-report", "--encoding", "utf-16"],
+         "episurv epi-report: error: argument --encoding: 'utf-16' is not a text encoding with a one-byte newline"),
+        (["validate", "--encoding", "utf-32"],
+         "episurv validate: error: argument --encoding: 'utf-32' is not a text encoding with a one-byte newline"),
         (["epi-report", "--delimiter", "ab"],
          "episurv epi-report: error: argument --delimiter: must be exactly one character, not 'ab'"),
         (["rank", "--delimiter="], "episurv rank: error: argument --delimiter: must be exactly one character, not ''"),
@@ -74,6 +79,7 @@ class TestUsageErrors:
         assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
 
     @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
+                                      ["validate", "--encoding", "utf-8-sig"],
                                       ["epi-report", "--encoding", "latin-1", "--delimiter", ","]])
     def test_a_valid_encoding_and_delimiter_read(self, argv, epi_file):
         assert main([*argv, "-i", epi_file]) == 0

@@ -17,9 +17,10 @@ from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
 _SCAN_BYTES = 1 << 16
 
 
-def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> Counter[tuple] | None:
-    """``stream.count(dims)`` over up to ``jobs`` newline-aligned byte ranges
-    of the data, or None when the data holds a ``"`` or too few lines to cut.
+def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> tuple[Counter[tuple], IngestStats] | None:
+    """The Counter and IngestStats of the data after the header, folded over
+    up to ``jobs`` newline-aligned byte ranges, or None when the data holds
+    a ``"`` or too few lines to cut. ``stream.stats`` is left as it is.
 
     The first range is folded here and every other one in a forked worker;
     the parts merge in file order. The earliest malformed line wins, with
@@ -52,15 +53,13 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> Counter[tuple] | 
                 os.close(w)
             workers.append((pid, open(r, "rb")))
         total: Counter[tuple] = Counter()
+        stats = IngestStats()
         part = _count_range(stream, *ranges[0], dims)
         while True:
-            counts, stats = part
-            total.update(counts)
-            merged = stream.stats.merge(stats)
-            for name in IngestStats.__slots__:  # in place: callers may hold stream.stats
-                setattr(stream.stats, name, getattr(merged, name))
+            total.update(part[0])
+            stats = stats.merge(part[1])
             if not workers:
-                return total
+                return total, stats
             pid, pipe = workers[0]
             with pipe:
                 data = pipe.read()

@@ -37,6 +37,7 @@ from .schema import (
     CaseClassification,
     CodedFlag,
     PatientRecord,
+    SEX_CODES,
     Sex,
     TreatmentStrategy,
 )
@@ -73,7 +74,7 @@ class UnknownPreset(ValueError):
     pass
 
 
-_SEX_CODES = {Sex.FEMALE: "1", Sex.MALE: "2", Sex.UNSPECIFIED: "99"}
+_SEX_CODES = {sex: str(code) for code, sex in SEX_CODES.items()}
 
 # Fixture date window (symptom onsets; deaths may trail by up to 60 days).
 _WINDOW_START = date(2020, 4, 6)

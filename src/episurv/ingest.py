@@ -81,6 +81,7 @@ from .schema import (
     CaseClassification,
     CodedFlag,
     PatientRecord,
+    SEX_CODES,
     Sex,
     TreatmentStrategy,
 )
@@ -267,7 +268,7 @@ def _resolve_header(
 _FLAG_BY_STR = {str(f.value): f for f in CodedFlag}
 _CLASS_BY_STR = {str(c.value): c for c in CaseClassification}
 _TREAT_BY_STR = {str(t.value): t for t in TreatmentStrategy}
-_SEX_BY_STR = {"1": Sex.FEMALE, "2": Sex.MALE, "99": Sex.UNSPECIFIED}
+_SEX_BY_STR = {str(code): sex for code, sex in SEX_CODES.items()}
 _STATE_BY_STR = {str(code): code for code in range(1, 33)}
 _AGE_BY_STR = {str(age): age for age in range(MAX_AGE + 1)}
 
@@ -319,7 +320,7 @@ def _parse_state(raw: str) -> int:
 def _parse_sex(raw: str) -> Sex:
     sex = _SEX_BY_STR.get(raw)
     if sex is None:  # non-integer rejects; other codes are unspecified
-        sex = _SEX_BY_STR.get(str(_parse_int(raw, "SEXO")), Sex.UNSPECIFIED)
+        sex = SEX_CODES.get(_parse_int(raw, "SEXO"), Sex.UNSPECIFIED)
     return sex
 
 
@@ -597,17 +598,25 @@ class _Stream:
         dimension. The result equals ``Counter(key(r) for r in
         self.records())`` and ``stats`` equals a full iteration's, but no
         record is built. A large file is counted in shards across CPU cores
-        and the parts merged in file order (see the module docstring).
+        and the parts merged in file order (see the module docstring). The
+        stats merge into ``stats`` once every part has succeeded, so a
+        ``count`` that raises leaves ``stats`` as the header read left them.
         """
         try:
             jobs = self._shard_jobs()
+            part = None
             if jobs > 1:
                 from . import _shard  # compiled only when a file is sharded
 
-                counts = _shard.count(self, jobs, dims)
-                if counts is not None:
-                    return counts
-            return self._fold(self._raw, self.stats, dims, self._line_offset)
+                part = _shard.count(self, jobs, dims)
+            if part is None:
+                stats = IngestStats()
+                part = self._fold(self._raw, stats, dims, self._line_offset), stats
+            counts, stats = part
+            merged = self.stats.merge(stats)
+            for name in IngestStats.__slots__:  # in place: callers may hold stream.stats
+                setattr(self.stats, name, getattr(merged, name))
+            return counts
         finally:
             if self._owns:
                 self._raw.close()

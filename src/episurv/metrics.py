@@ -62,6 +62,13 @@ __all__ = [
     "stratified_report",
     "comorbidity_profile",
     "rank_states",
+    "classification_sex_tally",
+    "treatment_sex_tally",
+    "TreatmentSplit",
+    "state_treatment_tally",
+    "intubation_sex_tally",
+    "death_classification_sex_tally",
+    "death_icu_sex_tally",
 ]
 
 
@@ -136,6 +143,10 @@ class StratumKey(NamedTuple):
     municipality: int | None = None
     sex: Sex | None = None
     age_group: AgeGroup | None = None
+
+    def is_state(self) -> bool:
+        """A state, and None on every other axis: a per-state stratum."""
+        return self.state is not None and self == StratumKey(self.state)
 
 
 #: Dimensions accepted by stratified_report's group_by, in key order.
@@ -491,8 +502,7 @@ def rank_states(
     """
     rows = []
     for key, report in reports.items():
-        if key.state is None or key.municipality is not None or key.sex is not None \
-                or key.age_group is not None:
+        if not key.is_state():
             continue
         value = _metric_value(report, metric)
         if value is not None:

@@ -8,6 +8,7 @@ data shape its builder expects.
 
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from functools import partial
 from json import JSONEncoder
 from operator import attrgetter
 from typing import Any, Mapping
@@ -65,39 +66,25 @@ class _Pct(float):
     pass
 
 
-# Row orders follow the enums' definition order.
-_SEX_ORDER = tuple(Sex)
-_FLAG_ORDER = tuple(CodedFlag)
-_AGE_ORDER = tuple(AgeGroup)
-_BUCKET_ORDER = tuple(StatusBucket)
+# Each member's place in its enum's definition order, for the sort keys;
+# None, meaning "all" on a stratum axis, sorts first.
+_RANK = {None: -1, **{member: i for enum in (Sex, AgeGroup, StatusBucket)
+                      for i, member in enumerate(enum)}}
+
+_SEX_COLS = ("female", "male", "unspecified", "total")
 
 
-def _class_sex_rows(data: Mapping, classes: tuple[CaseClassification, ...]) -> list[tuple]:
-    by_sex = lambda c, s: sum(n for (cc, ss), n in data.items() if cc is c and ss is s)
+def _build_coded_sex(code_cols: tuple[str, str], members, data: Mapping):
+    """One row per coded member (its code, its name, a count per Sex and their
+    sum) in the members' order, then the total row."""
     rows = []
-    tot_f = tot_m = tot_u = 0
-    for c in classes:
-        f = by_sex(c, Sex.FEMALE)
-        m = by_sex(c, Sex.MALE)
-        u = by_sex(c, Sex.UNSPECIFIED)
-        tot_f += f
-        tot_m += m
-        tot_u += u
-        rows.append((c.value, c.name.lower(), f, m, u, f + m + u))
-    rows.append(("", "total", tot_f, tot_m, tot_u, tot_f + tot_m + tot_u))
-    return rows
-
-
-_CLASS_SEX_COLS = ("classification_code", "classification", "female", "male", "unspecified", "total")
-
-
-def _build_t1(data: Mapping) -> tuple[tuple[str, ...], list[tuple], list[str]]:
-    return _CLASS_SEX_COLS, _class_sex_rows(data, tuple(CaseClassification)), []
-
-
-def _build_t2(data: Mapping):
-    positives = tuple(c for c in CaseClassification if is_positive(c))
-    return _CLASS_SEX_COLS, _class_sex_rows(data, positives), []
+    tot = [0] * len(Sex)
+    for member in members:
+        cells = [data.get((member, sex), 0) for sex in Sex]
+        tot = [t + c for t, c in zip(tot, cells)]
+        rows.append((member.value, member.name.lower(), *cells, sum(cells)))
+    rows.append(("", "total", *tot, sum(tot)))
+    return code_cols + _SEX_COLS, rows, []
 
 
 def _build_t3(data: Mapping):
@@ -129,27 +116,6 @@ def _build_t4(data: Mapping):
     return cols, rows, []
 
 
-def _flag_sex_rows(data: Mapping) -> list[tuple]:
-    rows = []
-    tot = [0, 0, 0]
-    for flag in _FLAG_ORDER:
-        cells = [data.get((flag, sex), 0) for sex in Sex]
-        tot = [t + c for t, c in zip(tot, cells)]
-        rows.append((flag.value, flag.name.lower(), *cells, sum(cells)))
-    rows.append(("", "total", *tot, sum(tot)))
-    return rows
-
-
-def _build_t5(data: Mapping):
-    cols = ("flag_code", "intubated", "female", "male", "unspecified", "total")
-    return cols, _flag_sex_rows(data), []
-
-
-def _build_t7(data: Mapping):
-    cols = ("flag_code", "icu", "female", "male", "unspecified", "total")
-    return cols, _flag_sex_rows(data), []
-
-
 def _build_t8(data: Mapping):
     cols = ("who_label", "lineage", "clade", "count")
     rows = []
@@ -163,7 +129,7 @@ def _build_t9(data: Mapping):
     cols = ("patient_status", "bucket", "clade", "count")
     def key(item):
         (status, clade), _ = item
-        return (_BUCKET_ORDER.index(bucket_status(status)), status, clade)
+        return (_RANK[bucket_status(status)], status, clade)
     rows = [
         (status, bucket_status(status).value, clade, n)
         for (status, clade), n in sorted(data.items(), key=key)
@@ -176,41 +142,30 @@ def _summary_blocks(data: StateSummary):
     yield ("total", data.totals)
 
 
-def _build_t10(data: StateSummary):
-    cols = ("state", "clade", "count")
+def _build_block_counts(column: str, attr: str, data: StateSummary):
+    """Per block, one row per key of its ``attr`` counts, in sorted order."""
     rows = []
     for name, block in _summary_blocks(data):
-        for clade in sorted(block.clades):
-            rows.append((name, clade, block.clades[clade]))
-    return cols, rows, []
+        counts = getattr(block, attr)
+        rows.extend((name, key, counts[key]) for key in sorted(counts))
+    return ("state", column, "count"), rows, []
 
 
 def _build_t11(data: StateSummary):
-    cols = ("state", "female", "male", "unspecified", "total")
     rows = []
     for name, block in _summary_blocks(data):
         cells = [block.sexes.get(sex, 0) for sex in Sex]
         rows.append((name, *cells, block.total))
-    return cols, rows, []
-
-
-def _build_t12(data: StateSummary):
-    cols = ("state", "vaccine", "count")
-    rows = []
-    for name, block in _summary_blocks(data):
-        for vaccine in sorted(block.vaccines):
-            rows.append((name, vaccine, block.vaccines[vaccine]))
-    return cols, rows, []
+    return ("state", *_SEX_COLS), rows, []
 
 
 def _build_t13(data: StateSummary):
-    cols = ("state", "age_group", "female", "male", "unspecified", "total")
     rows = []
     for name, block in _summary_blocks(data):
-        for group in _AGE_ORDER:
+        for group in AgeGroup:
             cells = [block.age_sex.get((group, sex), 0) for sex in Sex]
             rows.append((name, group.value, *cells, sum(cells)))
-    return cols, rows, []
+    return ("state", "age_group", *_SEX_COLS), rows, []
 
 
 def _build_g3(data: VariantShares):
@@ -221,22 +176,18 @@ def _build_g3(data: VariantShares):
 
 
 def _stratum_sort_key(key: StratumKey):
-    return (
-        key.state is not None, key.state or 0,
-        key.municipality is not None, key.municipality or 0,
-        _SEX_ORDER.index(key.sex) if key.sex is not None else -1,
-        _AGE_ORDER.index(key.age_group) if key.age_group is not None else -1,
-    )
+    return (key.state is not None, key.state or 0,
+            key.municipality is not None, key.municipality or 0,
+            _RANK[key.sex], _RANK[key.age_group])
 
 
-def _state_rows(data: Mapping[StratumKey, MetricsReport], metric_names: tuple[str, ...]):
+def _build_state_chart(metric_names: tuple[str, ...], data: Mapping[StratumKey, MetricsReport]):
     """Per-state rows for the chart tables; strata with any undefined metric
     are omitted and reported in a trailer comment."""
     rows = []
     omitted = []
     for key in sorted(data, key=_stratum_sort_key):
-        if key.state is None or key.municipality is not None or key.sex is not None \
-                or key.age_group is not None:
+        if not key.is_state():
             continue
         report = data[key]
         values = [getattr(report, name) for name in metric_names]
@@ -248,19 +199,7 @@ def _state_rows(data: Mapping[StratumKey, MetricsReport], metric_names: tuple[st
     trailers = []
     if omitted:
         trailers.append("# omitted (undefined): " + ", ".join(str(s) for s in omitted))
-    return rows, trailers
-
-
-def _build_g4(data: Mapping):
-    cols = ("state_code", "state", "fatality_pct", "positivity_pct")
-    rows, trailers = _state_rows(data, ("fatality_pct", "positivity_pct"))
-    return cols, rows, trailers
-
-
-def _build_g5(data: Mapping):
-    cols = ("state_code", "state", "tgi1_pct", "tgi2_pct", "tgi3_pct")
-    rows, trailers = _state_rows(data, ("tgi1_pct", "tgi2_pct", "tgi3_pct"))
-    return cols, rows, trailers
+    return ("state_code", "state", *metric_names), rows, trailers
 
 
 def _build_rank(data: tuple[RankMetric, Mapping[StratumKey, MetricsReport]]):
@@ -279,7 +218,7 @@ def _build_comorbidity(data: Mapping):
     cols = ("comorbidity", "age_group", "count")
     rows = []
     for name in COMORBIDITY_FIELDS:
-        for group in _AGE_ORDER:
+        for group in AgeGroup:
             n = data.get((name, group), 0)
             if n:
                 rows.append((name, group.value, n))
@@ -311,23 +250,26 @@ def _build_metrics(data: Mapping):
     return cols, rows, []
 
 
+_CLASS_COLS = ("classification_code", "classification")
+_POSITIVES = tuple(filter(is_positive, CaseClassification))
+
 _BUILDERS = {
-    TableId.T1: _build_t1,
-    TableId.T2: _build_t2,
+    TableId.T1: partial(_build_coded_sex, _CLASS_COLS, CaseClassification),
+    TableId.T2: partial(_build_coded_sex, _CLASS_COLS, _POSITIVES),
     TableId.T3: _build_t3,
     TableId.T4: _build_t4,
-    TableId.T5: _build_t5,
-    TableId.T6: _build_t2,
-    TableId.T7: _build_t7,
+    TableId.T5: partial(_build_coded_sex, ("flag_code", "intubated"), CodedFlag),
+    TableId.T6: partial(_build_coded_sex, _CLASS_COLS, _POSITIVES),
+    TableId.T7: partial(_build_coded_sex, ("flag_code", "icu"), CodedFlag),
     TableId.T8: _build_t8,
     TableId.T9: _build_t9,
-    TableId.T10: _build_t10,
+    TableId.T10: partial(_build_block_counts, "clade", "clades"),
     TableId.T11: _build_t11,
-    TableId.T12: _build_t12,
+    TableId.T12: partial(_build_block_counts, "vaccine", "vaccines"),
     TableId.T13: _build_t13,
     TableId.G3_SHARES: _build_g3,
-    TableId.G4_SCATTER: _build_g4,
-    TableId.G5_STACK: _build_g5,
+    TableId.G4_SCATTER: partial(_build_state_chart, ("fatality_pct", "positivity_pct")),
+    TableId.G5_STACK: partial(_build_state_chart, ("tgi1_pct", "tgi2_pct", "tgi3_pct")),
     TableId.COMORBIDITY_PROFILE: _build_comorbidity,
     TableId.METRICS: _build_metrics,
     TableId.RANK: _build_rank,
@@ -385,13 +327,11 @@ def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
         return bytes(out)
 
     if fmt == "markdown":
-        lines = ["| " + " | ".join(cols) + " |",
-                 "| " + " | ".join("---" for _ in cols) + " |"]
-        lines.extend("| " + " | ".join(_cell_text(c) for c in row) + " |" for row in rows)
-        lines.extend(trailers)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    lines = ["\t".join(cols)]
-    lines.extend("\t".join(_cell_text(c) for c in row) for row in rows)
+        line = lambda cells: "| " + " | ".join(cells) + " |"
+        lines = [line(cols), line("---" for _ in cols)]
+    else:
+        line = "\t".join
+        lines = [line(cols)]
+    lines.extend(line(map(_cell_text, row)) for row in rows)
     lines.extend(trailers)
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -20,6 +20,7 @@ __all__ = [
     "CodedFlag",
     "TreatmentStrategy",
     "Sex",
+    "SEX_CODES",
     "SuspectType",
     "LabSampleStatus",
     "PatientRecord",
@@ -82,6 +83,10 @@ class Sex(Enum):
     FEMALE = "female"
     MALE = "male"
     UNSPECIFIED = "unspecified"
+
+
+#: SEXO codes; the reader takes any other integer as unspecified.
+SEX_CODES = {1: Sex.FEMALE, 2: Sex.MALE, 99: Sex.UNSPECIFIED}
 
 
 class SuspectType(Enum):

@@ -139,6 +139,16 @@ class TestValidate:
         assert "rows read:     4" in out
         assert "rows rejected: 0" in out
 
+    @pytest.mark.parametrize("argv", [["-f", "json"], ["--format", "tsv"], ["--kind", "gisaid", "-f", "json"]])
+    def test_format_is_a_usage_error(self, argv, epi_file, capsys):
+        """validate prints one plain-text report; it takes no --format."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "-i", epi_file, *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert "error: unrecognized arguments: " in captured.err
+
     def test_out_file(self, epi_file, tmp_path, capsys):
         target = tmp_path / "report.txt"
         assert main(["validate", "-i", epi_file, "-o", str(target)]) == 0

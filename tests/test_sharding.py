@@ -11,6 +11,7 @@ whole-file line number of malformed CSV, and that every worker is reaped.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -228,23 +229,30 @@ def test_bytes_fifo_and_threads_keep_it_serial(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
-@pytest.mark.parametrize("bad_rows", [(1,), (25,), (59,), (25, 59), (59, 58)])
-@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("bad_rows", [(1,), (25,), (59,), (25, 59), (59, 58), (300,)])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_malformed_csv_names_the_whole_file_line(tmp_path, kind, bad_rows, jobs):
+    """The same error at every shard count, and ``stats`` left as the header
+    read left them, although rows before the bad one (a whole batch of them
+    when it is on line 301) were counted first."""
     lines, sep, open_stream, _, _ = READERS[kind]
-    lines = list(lines[:60])
+    lines = list(lines[:max(60, max(bad_rows) + 2)])
     for i in bad_rows:  # a carriage return inside an unquoted field
         cells = lines[i].split(sep)
         cells[2] = "a\rb"
         lines[i] = sep.join(cells)
     path = tmp_path / "input"
     path.write_bytes(_file_bytes(lines))
-    with pytest.raises(ValueError) as serial:
-        open_stream(path.read_bytes()).count(())
-    with _shards(jobs), _forks() as pids, pytest.raises(ValueError) as sharded:
-        open_stream(path).count(())
-    assert str(sharded.value) == str(serial.value)
-    assert str(serial.value).startswith(f"line {min(bad_rows) + 1}: malformed CSV: ")
+    serial = open_stream(path.read_bytes())
+    header_stats = dataclasses.replace(serial.stats)
+    with pytest.raises(ValueError) as serial_error:
+        serial.count(())
+    sharded = open_stream(path)
+    with _shards(jobs), _forks() as pids, pytest.raises(ValueError) as sharded_error:
+        sharded.count(())
+    assert str(sharded_error.value) == str(serial_error.value)
+    assert str(serial_error.value).startswith(f"line {min(bad_rows) + 1}: malformed CSV: ")
+    assert serial.stats == sharded.stats == header_stats
     assert len(pids) == jobs - 1
     _assert_no_child_left()
 

@@ -11,10 +11,10 @@ CSV, missing columns, inconsistent marginals, unknown preset).
 """
 
 import argparse
+import os
 import sys
 from datetime import date
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Imported first: compiling ingest before genomics and its imports keeps the
 # peak RSS of the small commands about 0.3 MB lower (Python 3.11, with no
@@ -46,7 +46,7 @@ from .metrics import (
     stratified_report,
     treatment_sex_tally,
 )
-from .report import ShapeMismatch, TableId, format_pct, render
+from .report import ShapeMismatch, TableId, format_pct, render_chunks
 from .schema import Sex
 
 __all__ = ["main"]
@@ -136,12 +136,14 @@ def _progress(stats) -> None:
     )
 
 
-def _write(data: bytes, out: str | None) -> None:
+def _write(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write each chunk as it comes, to stdout or to the file ``out``."""
     if out in (None, "-"):
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as f:
+            f.writelines(chunks)
 
 
 # --- commands -----------------------------------------------------------------
@@ -153,7 +155,7 @@ def _cmd_validate(args) -> int:
         stream = ingest_sveerv(args.input, delimiter=args.delimiter,
                                encoding=args.encoding)
     stream.count(())  # the batch path: only the counters are reported
-    _write(validate_report(stream.stats).encode("utf-8"), args.out)
+    _write([validate_report(stream.stats).encode("utf-8")], args.out)
     return 0
 
 
@@ -182,13 +184,13 @@ def _cmd_epi_report(args) -> int:
             SeverityCriterion(args.severity_rule),
             PositivityMode(args.positivity),
         )
-    payload = render(TableId(args.table), data, args.format)
+    chunks = render_chunks(TableId(args.table), data, args.format)
     if args.table == "metrics":
         national = data[StratumKey()].fatality_pct
         if national is not None and format_pct(national) == "15.60":
             sys.stderr.write(_FATALITY_NOTE + "\n")
     _progress(stream.stats)
-    _write(payload, args.out)
+    _write(chunks, args.out)
     return 0
 
 
@@ -204,7 +206,7 @@ def _cmd_genomic_report(args) -> int:
     else:
         data = state_summary(stream, catalog, args.label, args.states)
     _progress(stream.stats)
-    _write(render(TableId(args.table), data, args.format), args.out)
+    _write(render_chunks(TableId(args.table), data, args.format), args.out)
     return 0
 
 
@@ -223,17 +225,17 @@ def _state_reports(args) -> dict[StratumKey, MetricsReport]:
 
 def _cmd_rank(args) -> int:
     data = (RankMetric(args.metric), _state_reports(args))
-    _write(render(TableId.RANK, data, args.format), args.out)
+    _write(render_chunks(TableId.RANK, data, args.format), args.out)
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    _write(render(TableId.G4_SCATTER, _state_reports(args), args.format), args.out)
+    _write(render_chunks(TableId.G4_SCATTER, _state_reports(args), args.format), args.out)
     return 0
 
 
 def _cmd_severity(args) -> int:
-    _write(render(TableId.G5_STACK, _state_reports(args), args.format), args.out)
+    _write(render_chunks(TableId.G5_STACK, _state_reports(args), args.format), args.out)
     return 0
 
 
@@ -246,7 +248,7 @@ def _cmd_fixture_gen(args) -> int:
     )
 
     if args.list:
-        _write(("\n".join(list_presets()) + "\n").encode(), args.out)
+        _write([("\n".join(list_presets()) + "\n").encode()], args.out)
         return 0
     if args.preset is None:
         return _usage_error(args.parser, "--preset is required (or use --list)")
@@ -402,6 +404,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        # The reader has gone. Chunks still in stdout's buffer would fail
+        # again at the interpreter's flush on exit, so send them nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"episurv: error: {exc}\n")

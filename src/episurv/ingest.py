@@ -29,12 +29,13 @@ are read verbatim.
 Splitting: a batch's rows are the ones csv.reader gives for its lines.
 Under UTF-8 a batch is decoded in one call; under any other codec, or when
 that call fails, line by line, a line that fails falling back to latin-1.
-A batch whose text holds no ``"``, carriage return or NUL, no blank line
-and no line over csv.field_size_limit() is split on newlines, then on the
-delimiter, with str.split, which gives csv.reader's rows exactly. Any other
-batch goes to csv.reader: over its own lines when it holds no ``"``, since
-each line then parses alone; else over its lines and the rest of the file,
-since a quoted field may span lines.
+A batch whose text holds no ``"`` or NUL, no carriage return but one that
+ends a line (as in CRLF), no blank line and no line over
+csv.field_size_limit() is split on newlines, with those carriage returns
+dropped, then on the delimiter, with str.split, which gives csv.reader's
+rows exactly. Any other batch goes to csv.reader: over its own lines when
+it holds no ``"``, since each line then parses alone; else over its lines
+and the rest of the file, since a quoted field may span lines.
 
 Malformed CSV: a line the csv module cannot split (a carriage return inside
 an unquoted field, a field over csv.field_size_limit()) raises ValueError
@@ -681,6 +682,8 @@ class _Stream:
             if text is None:  # a codec may decode a line to more than one newline: more pieces than lines
                 lines = _decode_lines(batch, encoding)
                 text = "\n".join([line.removesuffix("\n") for line in lines])
+            if "\r" in text:  # csv.reader ends a row at a \r that ends its line, as at CRLF
+                text = text.replace("\r\n", "\n").removesuffix("\r")
             pieces = text.split("\n")  # never splitlines(): it also splits on \x0b, \x1c and U+2028
             limit = csv.field_size_limit()
             if ('"' in text or "\r" in text or "\0" in text or len(pieces) != n or "" in pieces

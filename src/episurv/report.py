@@ -4,14 +4,20 @@ Every table renders byte-identically for identical inputs: rows follow fixed
 sort orders, counts print as integers, and percentages print with exactly two
 decimals, rounded half-up. docs/tables.md lists each table's columns and the
 data shape its builder expects.
+
+Streaming: ``render_chunks`` gives a table as byte chunks of a few dozen
+rows, so a writer that sends each on as it comes holds one chunk of output
+at a time (the metrics rows, too, are built as they are rendered);
+``render`` joins them.
 """
 
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
+from itertools import islice
 from json import JSONEncoder
 from operator import attrgetter
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
 from .metrics import AgeGroup, MetricsReport, RankMetric, StratumKey, rank_states
@@ -25,7 +31,7 @@ from .schema import (
     is_positive,
 )
 
-__all__ = ["TableId", "ShapeMismatch", "render", "format_pct"]
+__all__ = ["TableId", "ShapeMismatch", "render", "render_chunks", "format_pct"]
 
 
 class TableId(str, Enum):
@@ -58,7 +64,14 @@ class ShapeMismatch(TypeError):
 
 def format_pct(value: float) -> str:
     """Two decimals, round half-up (so 18.505 prints 18.51, never 18.50)."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return _quantized(repr(float(value)))
+
+
+# Keyed by the repr, not the float: -0.0 == 0.0 and NaN != NaN, but their
+# reprs, and so their texts, tell them apart. A table repeats few values.
+@lru_cache(maxsize=4096)
+def _quantized(text: str) -> str:
+    return str(Decimal(text).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 # Cell markers: _Pct wraps floats that format as percentages.
@@ -70,6 +83,7 @@ class _Pct(float):
 # None, meaning "all" on a stratum axis, sorts first.
 _RANK = {None: -1, **{member: i for enum in (Sex, AgeGroup, StatusBucket)
                       for i, member in enumerate(enum)}}
+_NONE_FIRST = float("-inf")  # below every state and municipality code
 
 _SEX_COLS = ("female", "male", "unspecified", "total")
 
@@ -175,10 +189,16 @@ def _build_g3(data: VariantShares):
     return cols, rows, []
 
 
-def _stratum_sort_key(key: StratumKey):
-    return (key.state is not None, key.state or 0,
-            key.municipality is not None, key.municipality or 0,
-            _RANK[key.sex], _RANK[key.age_group])
+def _in_stratum_order(keys: Iterable[StratumKey]) -> list[StratumKey]:
+    """``keys`` by state, municipality, sex and age group, with None ("all")
+    first on each axis: one stable sort per axis, the last axis first. Each
+    sort key is a code or a rank the stratum already holds, so no key tuple
+    is built per stratum."""
+    order = sorted(keys, key=lambda key: _RANK[key.age_group])
+    order.sort(key=lambda key: _RANK[key.sex])
+    order.sort(key=lambda key: _NONE_FIRST if key.municipality is None else key.municipality)
+    order.sort(key=lambda key: _NONE_FIRST if key.state is None else key.state)
+    return order
 
 
 def _build_state_chart(metric_names: tuple[str, ...], data: Mapping[StratumKey, MetricsReport]):
@@ -186,7 +206,7 @@ def _build_state_chart(metric_names: tuple[str, ...], data: Mapping[StratumKey, 
     are omitted and reported in a trailer comment."""
     rows = []
     omitted = []
-    for key in sorted(data, key=_stratum_sort_key):
+    for key in _in_stratum_order(data):
         if not key.is_state():
             continue
         report = data[key]
@@ -234,20 +254,24 @@ _counts_of = attrgetter(*_COUNT_COLS)
 _rates_of = attrgetter(*_RATE_COLS)
 
 
-def _build_metrics(data: Mapping):
-    cols = _DIM_LABELS + _COUNT_COLS + _RATE_COLS
-    rows = []
-    for key in sorted(data, key=_stratum_sort_key):
+def _metrics_rows(keys: list[StratumKey], data: Mapping[StratumKey, MetricsReport]):
+    for key in keys:
         report = data[key]
-        dims = (
-            "all" if key.state is None else key.state,
-            "all" if key.municipality is None else key.municipality,
-            "all" if key.sex is None else key.sex.value,
-            "all" if key.age_group is None else key.age_group.value,
-        )
-        rates = tuple(None if rate is None else _Pct(rate) for rate in _rates_of(report))
-        rows.append(dims + _counts_of(report.counts) + rates)
-    return cols, rows, []
+        yield ("all" if key.state is None else key.state,
+               "all" if key.municipality is None else key.municipality,
+               "all" if key.sex is None else key.sex.value,
+               "all" if key.age_group is None else key.age_group.value,
+               *_counts_of(report.counts),
+               *[None if rate is None else _Pct(rate) for rate in _rates_of(report)])
+
+
+def _build_metrics(data: Mapping):
+    """One row per stratum, in stratum order. The rows are built as they are
+    rendered: a fine grouping has tens of thousands of strata."""
+    keys = _in_stratum_order(data)
+    if not all(isinstance(report, MetricsReport) for report in data.values()):
+        raise TypeError("expects MetricsReport values")
+    return _DIM_LABELS + _COUNT_COLS + _RATE_COLS, _metrics_rows(keys, data), []
 
 
 _CLASS_COLS = ("classification_code", "classification")
@@ -278,29 +302,32 @@ _BUILDERS = {
 _SUMMARY_TABLES = {TableId.T10, TableId.T11, TableId.T12, TableId.T13}
 
 
-def _cell_text(cell: Any) -> str:
-    if cell is None:
-        return "NA"
-    if isinstance(cell, _Pct):
-        return format_pct(cell)
-    return str(cell)
-
-
 _JSON = JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) uses
+_CHUNK_ROWS = 64  # a few KiB of output: what rendering holds at once, whatever the table size
 
 
-def _cell_json(cell: Any) -> Any:
-    if isinstance(cell, _Pct):
-        return float(format_pct(cell))
-    return cell
+def _text_cells(row: tuple) -> list[str]:
+    return ["NA" if cell is None else format_pct(cell) if type(cell) is _Pct else str(cell)
+            for cell in row]
 
 
-def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
-    """Render a table to tsv, json, or markdown bytes.
+def _json_cells(row: tuple) -> list:
+    return [float(format_pct(cell)) if type(cell) is _Pct else cell for cell in row]
 
-    Raises ShapeMismatch when data does not fit the table's expected shape,
-    and ValueError for an unknown format. JSON output is a list of row
-    objects; trailer comments appear only in tsv/markdown.
+
+def _lines(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def render_chunks(table_id: TableId, data: Any, fmt: str = "tsv") -> Iterator[bytes]:
+    """Render a table to tsv, json, or markdown, as an iterator of byte chunks.
+
+    The chunks are the header, then the rows, _CHUNK_ROWS at a time, then
+    the trailers (the closing bracket, for json); joined, they are the
+    table's bytes. Raises ShapeMismatch when data does not fit the table's
+    expected shape, and ValueError for an unknown format, from this call,
+    before any chunk. JSON output is a list of row objects; trailer
+    comments appear only in tsv/markdown.
     """
     if fmt not in ("tsv", "json", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -314,24 +341,34 @@ def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
         cols, rows, trailers = builder(data)
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ShapeMismatch(f"table {table_id.value}: {exc}") from exc
+    return _chunks(cols, iter(rows), trailers, fmt)
 
+
+def _chunks(cols: tuple[str, ...], rows: Iterator[tuple], trailers: list[str], fmt: str) -> Iterator[bytes]:
     if fmt == "json":
         # One encode per row, joined as json.dumps joins list items (", "):
-        # the same bytes without holding every row as a dict, nor the text as str.
-        out = bytearray(b"[")
-        for i, row in enumerate(rows):
-            if i:
-                out += b", "
-            out += _JSON.encode(dict(zip(cols, map(_cell_json, row)))).encode("utf-8")
-        out += b"]\n"
-        return bytes(out)
-
+        # the chunks join into the dumps of the whole row list.
+        yield b"["
+        sep = ""
+        while batch := list(islice(rows, _CHUNK_ROWS)):
+            text = ", ".join([_JSON.encode(dict(zip(cols, _json_cells(row)))) for row in batch])
+            yield (sep + text).encode("utf-8")
+            sep = ", "
+        yield b"]\n"
+        return
     if fmt == "markdown":
         line = lambda cells: "| " + " | ".join(cells) + " |"
-        lines = [line(cols), line("---" for _ in cols)]
+        yield _lines([line(cols), line("---" for _ in cols)])
     else:
         line = "\t".join
-        lines = [line(cols)]
-    lines.extend(line(map(_cell_text, row)) for row in rows)
-    lines.extend(trailers)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        yield _lines([line(cols)])
+    while batch := list(islice(rows, _CHUNK_ROWS)):
+        yield _lines([line(_text_cells(row)) for row in batch])
+    if trailers:
+        yield _lines(trailers)
+
+
+def render(table_id: TableId, data: Any, fmt: str = "tsv") -> bytes:
+    """The whole table as bytes: the joined chunks of ``render_chunks``,
+    which raises as this does."""
+    return b"".join(render_chunks(table_id, data, fmt))

@@ -265,7 +265,7 @@ if pytest is not None:
             calls.append(args)
             return reader(*args, **kwargs)
 
-        expected = {"no-trailing-newline": 1, "one-crlf-line": 2, "cr-at-the-end": 2, "stray-quote": 2,
+        expected = {"no-trailing-newline": 1, "crlf": 1, "one-crlf-line": 1, "cr-at-the-end": 1, "stray-quote": 2,
                     "invalid-utf8": 1, "blank-lines": 4, "field-over-the-limit": 2}
         for name, n in expected.items():
             data, options = EDGE_CASES["sveerv", name]

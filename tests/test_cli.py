@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from episurv.cli import main
+from episurv.fixtures import generate_fixture, load_preset
 from test_ingest import csv_bytes, gisaid_bytes, grow, row
 
 
@@ -231,6 +233,51 @@ class TestEpiReport:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("| sex |")
         assert out[1].startswith("| --- |")
+
+
+class TestStreamedOutput:
+    STRATA = ["epi-report", "--group-by", "state,municipality,sex,age-group", "-f", "json"]
+
+    @pytest.fixture(scope="class")
+    def strata_input(self, tmp_path_factory):
+        """A smoke registry whose strata JSON is about 1 MB, many chunks."""
+        path = tmp_path_factory.mktemp("strata") / "smoke.csv"
+        generate_fixture(load_preset("smoke", rows=3000, seed=0), path)
+        return str(path)
+
+    def test_out_file_holds_the_stdout_bytes(self, strata_input, tmp_path, capsysbinary):
+        target = tmp_path / "strata.json"
+        assert main([*self.STRATA, "-i", strata_input, "-o", str(target)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main([*self.STRATA, "-i", strata_input]) == 0
+        out = capsysbinary.readouterr().out
+        assert len(out) > 500_000
+        assert target.read_bytes() == out
+
+    @pytest.mark.parametrize("fmt, head", [
+        ("json", b'[{"state": "all"'),
+        ("tsv", b"state\tmunicipality"),
+        ("markdown", b"| state | municipality"),
+    ])
+    @pytest.mark.parametrize("read", [100, 0])
+    def test_a_reader_that_stops_early_is_not_an_error(self, strata_input, fmt, head, read):
+        argv = [*self.STRATA[:-1], fmt, "-i", strata_input]
+        # stdout buffered, as it is by default: a reader that closes before
+        # the first write makes the pipe break while a small chunk (the
+        # header) is held in the buffer
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "episurv.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.read(read)[:len(head)] == head[:read]
+            proc.stdout.close()  # the rest of the table meets a closed pipe
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == "read 3000 rows: 3000 accepted, 0 rejected\n"
 
 
 class TestFatalityNote:

@@ -1,11 +1,14 @@
 import json
+import math
 from datetime import date
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
+from hypothesis import given, strategies as st
 
 from episurv.genomics import StateSummary, VariantShares, state_summary
 from episurv.metrics import stratified_report
-from episurv.report import ShapeMismatch, TableId, format_pct, render
+from episurv.report import ShapeMismatch, TableId, _Pct, format_pct, render
 from episurv.schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -37,6 +40,28 @@ class TestFormatPct:
         # 0.145 stored as a float is slightly below 0.145; the shortest repr
         # is what users see, so rounding follows it
         assert format_pct(0.145) == "0.15"
+
+    @staticmethod
+    def _outcome(fn, value):
+        try:
+            return fn(value)
+        except InvalidOperation as exc:  # inf, and values too large to quantize
+            return type(exc)
+
+    @given(values=st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                                     st.sampled_from([0.0, -0.0, math.nan, -math.inf, 18.505, 0.145])),
+                           min_size=1, max_size=20),
+           pct=st.booleans())
+    def test_memo_matches_the_decimal_formula(self, values, pct):
+        """Each value twice, so that the second call reads the memo: -0.0
+        after 0.0, NaN after NaN and a _Pct after its float must still
+        format as the uncached formula does."""
+        def uncached(value):
+            return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+        for value in values * 2:
+            value = _Pct(value) if pct and isinstance(value, float) else value
+            assert self._outcome(format_pct, value) == self._outcome(uncached, value), value
 
 
 class TestClassificationTables:

@@ -1,4 +1,4 @@
-"""The sharded ``count`` of a file's data across CPU cores (see ``episurv.ingest``).
+"""The sharded roll-up of a file's data across CPU cores (see ``episurv.ingest``).
 
 Kept out of ``ingest`` and imported only when a file is sharded: every
 command compiles ``ingest`` as it starts, and the parser's memory for that
@@ -6,9 +6,9 @@ module sets the peak RSS of the small commands.
 """
 
 import io
+import operator
 import os
-from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
 
@@ -17,16 +17,17 @@ from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
 _SCAN_BYTES = 1 << 16
 
 
-def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> tuple[Counter[tuple], IngestStats] | None:
-    """The Counter and IngestStats of the data after the header, folded over
-    up to ``jobs`` newline-aligned byte ranges, or None when the data holds
-    a ``"`` or too few lines to cut. ``stream.stats`` is left as it is.
+def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) -> tuple[dict, IngestStats] | None:
+    """``project`` of the token counts and the IngestStats of the data after
+    the header, over up to ``jobs`` newline-aligned byte ranges, or None when
+    the data holds a ``"`` or too few lines to cut. ``stream.stats`` is left
+    as it is.
 
-    The first range is folded here and every other one in a forked worker;
-    the parts merge in file order. The earliest malformed line wins, with
-    its whole-file line number; a worker that ends without a result raises
-    OSError. Every worker is reaped before this returns, and killed first
-    if this raises.
+    The first range is folded and projected here and every other one in a
+    forked worker, which sends back only its projection; the parts merge in
+    file order. The earliest malformed line wins, with its whole-file line
+    number; a worker that ends without a result raises OSError. Every worker
+    is reaped before this returns, and killed first if this raises.
     """
     fd = stream._raw.fileno()
     start, size = stream.stats.bytes_read, os.fstat(fd).st_size  # the header was read from byte 0
@@ -45,21 +46,15 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> tuple[Counter[tup
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(w, stream, a, b, dims)  # never returns
+                    _work(w, stream, a, b, dims, project)  # never returns
             except BaseException:
                 os.close(r)
                 raise
             finally:
                 os.close(w)
             workers.append((pid, open(r, "rb")))
-        total: Counter[tuple] = Counter()
-        stats = IngestStats()
-        part = _count_range(stream, *ranges[0], dims)
-        while True:
-            total.update(part[0])
-            stats = stats.merge(part[1])
-            if not workers:
-                return total, stats
+        total, stats = _count_range(stream, *ranges[0], dims, project)
+        while workers:
             pid, pipe = workers[0]
             with pipe:
                 data = pipe.read()
@@ -72,6 +67,9 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> tuple[Counter[tup
             part = pickle.loads(data)
             if isinstance(part, BaseException):
                 raise part
+            _merge(total, part[0])
+            stats = stats.merge(part[1])
+        return total, stats
     except BaseException:
         import signal  # only here: importing it costs 0.7 MB of RSS
 
@@ -84,29 +82,42 @@ def count(stream: _Stream, jobs: int, dims: Sequence[_Dim]) -> tuple[Counter[tup
             os.waitpid(pid, 0)
 
 
-def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) -> tuple[Counter[tuple], IngestStats]:
-    """Fold bytes [start, end) of the stream's file into its Counter and
-    IngestStats. Malformed CSV raises _MalformedCSV with the whole-file line:
-    ``start`` follows a newline, so the lines before the range are the
-    newlines before ``start``."""
+def _merge(total: dict, part: dict) -> None:
+    """Add a later range's projection, a sum of counts or of tuples of
+    counts, into ``total``; a new key goes last, as in a whole-file pass."""
+    for key, value in part.items():
+        acc = total.get(key)
+        if acc is None:
+            total[key] = value
+        elif isinstance(acc, tuple):
+            total[key] = tuple(map(operator.add, acc, value))
+        else:
+            total[key] = acc + value
+
+
+def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> tuple:
+    """Fold bytes [start, end) of the stream's file into ``project`` of its
+    token counts, and its IngestStats. Malformed CSV raises _MalformedCSV
+    with the whole-file line: ``start`` follows a newline, so the lines
+    before the range are the newlines before ``start``."""
     stats = IngestStats()
     fd = stream._raw.fileno()
     with io.BufferedReader(_ByteRange(fd, start, end)) as raw:
         try:
-            return stream._fold(raw, stats, dims), stats
+            return project(*stream._fold(raw, stats, dims)), stats
         except _MalformedCSV as exc:
             line_no, reason = exc.args
             raise _MalformedCSV(sum(chunk.count(b"\n") for chunk in _chunks(fd, 0, start)) + line_no,
                                 reason) from None
 
 
-def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim]) -> None:
-    """A forked worker's whole life: fold one range, pickle the result (or
-    the exception) to ``w``, and end the process with os._exit."""
+def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> None:
+    """A forked worker's whole life: fold and project one range, pickle the
+    result (or the exception) to ``w``, and end the process with os._exit."""
     code = 1
     try:
         try:
-            part = _count_range(stream, start, end, dims)
+            part = _count_range(stream, start, end, dims, project)
         except Exception as exc:
             part = exc
         import pickle  # after the fold, into memory it freed

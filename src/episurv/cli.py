@@ -7,7 +7,7 @@ metrics, ``genomic-report`` renders variant tables from sequence metadata,
 and ``fixture-gen`` writes synthetic datasets from shipped presets.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, malformed
-CSV, missing columns, inconsistent marginals, unknown preset).
+CSV, missing columns, inconsistent marginals, unknown preset), 130 interrupted.
 """
 
 import argparse
@@ -411,6 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"episurv: error: {exc}\n")
         return 2
+    except KeyboardInterrupt:
+        sys.stderr.write("episurv: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

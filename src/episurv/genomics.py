@@ -327,8 +327,7 @@ def _count_of_label(
     """Counts by ``dims`` of the samples classified as ``who_label``."""
     wanted = _resolve_label(catalog, who_label)
     classify = functools.cache(catalog.classify)
-    cube = _count(samples, [("pango_lineage", lambda lineage: classify(lineage) == wanted), *dims])
-    return Counter({key[1:]: n for key, n in cube.items() if key[0]})
+    return _count(samples, dims, [("pango_lineage", lambda lineage: classify(lineage) == wanted)])
 
 
 def variant_shares(

@@ -16,9 +16,8 @@ name reasons identically. A RowError's line number is the physical line
 its row starts on, so it stays right after quoted fields that span lines.
 The IngestStats advance once per batch and are final once the stream is
 read; their reasons are listed in the order the file first shows them.
-The table functions in ``episurv.metrics`` and ``episurv.genomics`` count a
-stream with ``count``; handed records, they count them the same way (see
-``_count``).
+The tables in ``episurv.metrics`` and ``episurv.genomics`` roll a stream's
+or records' counts up in token space (see ``_count``).
 
 Integers: every coded and integer registry column (classification, patient
 type, sex, the yes/no flags, state, municipality and age) reads its value
@@ -41,20 +40,14 @@ Malformed CSV: a line the csv module cannot split (a carriage return inside
 an unquoted field, a field over csv.field_size_limit()) raises ValueError
 naming the physical line, from iteration and ``count`` alike.
 
-Sharding: ``count`` splits a large file across CPU cores by itself. It
-shards only a regular file it opened by path, only when ``os.fork`` exists,
-no other thread runs, at least two CPUs are usable and the data after the
-header fills at least two shards of SHARD_MIN_BYTES; and only when the data
-holds no ``"``, since a quoted field may span lines. The data is cut just
-after a newline into one byte range per usable CPU, as many as hold
-SHARD_MIN_BYTES each. The process folds the first range itself and forks one worker per
-other range (``episurv._shard``); each reads its range with ``os.pread``,
-so no file offset is shared, through the same batch reader and fold, and
-sends back its Counter and IngestStats. The parts merge in file order, so
-the Counter equals a whole-file pass item for item and in insertion order,
-and the stats are those of a whole-file pass; a malformed line is numbered
-by the newlines before its range. Iteration and ``records()`` always read
-serially.
+Sharding: a count of a large regular file opened by path is split across
+CPU cores when ``os.fork`` exists, no other thread runs, two CPUs are
+usable and the data fills two shards of SHARD_MIN_BYTES and holds no ``"``.
+The process folds the first newline-aligned byte range and a forked worker
+each other one (``episurv._shard``), which sends back its IngestStats and
+the table's roll-up, not its Counter. The parts merge in file order, so
+every result equals a whole-file pass item for item and in order, and a
+malformed line keeps its whole-file number. Iteration is always serial.
 """
 
 import codecs
@@ -499,10 +492,20 @@ class _Tokens(dict):
         return token
 
 
-def _decode_keys(counts: Counter[tuple], dims: list[_Tokens]) -> Counter[tuple]:
-    """``counts`` re-keyed from token tuples to the values the tokens stand for."""
-    values = [list(tokens.keys_by_token) for tokens in dims]
-    return Counter({tuple(map(operator.getitem, values, key)): n for key, n in counts.items()})
+def _decoded(counts: dict[tuple, int], keys: list[list]) -> Counter[tuple]:
+    """The projection that decodes every key, in order and in one pass."""
+    out: Counter[tuple] = Counter()
+    for key, n in counts.items():
+        out[tuple(map(operator.getitem, keys, key))] = n
+    return out
+
+
+def _rolled(where: int, project: Callable, counts: dict[tuple, int], keys: list[list]):
+    """``project`` of the counts whose ``where`` leading keys are true, without them."""
+    if where:
+        tests, keys = keys[:where], keys[where:]
+        counts = {key[where:]: n for key, n in counts.items() if all(map(operator.getitem, tests, key))}
+    return project(counts, keys)
 
 
 class _MalformedCSV(ValueError):
@@ -597,35 +600,36 @@ class _Stream:
         comorbidity name) and an optional function of the decoded value; a
         key holds the decoded value, or the function's result, per
         dimension. The result equals ``Counter(key(r) for r in
-        self.records())`` and ``stats`` equals a full iteration's, but no
-        record is built. A large file is counted in shards across CPU cores
-        and the parts merged in file order (see the module docstring). The
-        stats merge into ``stats`` once every part has succeeded, so a
-        ``count`` that raises leaves ``stats`` as the header read left them.
+        self.records())``, and ``stats`` a full iteration's once every shard
+        has succeeded; a ``count`` that raises leaves them as they were.
         """
+        return self._rollup(dims, _decoded)
+
+    def _rollup(self, dims: Sequence[_Dim], project: Callable):
+        """``project`` (see _count) of each part's token counts by ``dims``."""
         try:
             jobs = self._shard_jobs()
             part = None
             if jobs > 1:
                 from . import _shard  # compiled only when a file is sharded
 
-                part = _shard.count(self, jobs, dims)
+                part = _shard.rollup(self, jobs, dims, project)
             if part is None:
                 stats = IngestStats()
-                part = self._fold(self._raw, stats, dims, self._line_offset), stats
-            counts, stats = part
+                part = project(*self._fold(self._raw, stats, dims, self._line_offset)), stats
+            result, stats = part
             merged = self.stats.merge(stats)
             for name in IngestStats.__slots__:  # in place: callers may hold stream.stats
                 setattr(self.stats, name, getattr(merged, name))
-            return counts
+            return result
         finally:
             if self._owns:
                 self._raw.close()
 
-    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], line_no: int = 0) -> Counter[tuple]:
-        """``raw``'s accepted rows counted by ``dims`` through the batch loop,
-        with Counter.update over small-int tokens of their keys (see
-        _Tokens), decoded at the end; ``line_no`` lines precede ``raw``."""
+    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], line_no: int = 0) -> tuple:
+        """``raw``'s accepted rows counted by ``dims`` in small-int tokens (see
+        _Tokens), and each dimension's keys in token order; ``line_no`` lines
+        precede ``raw``."""
         keys = []  # per dimension: column index, tokens
         for field, fn in dims:
             column, decoder = self._decoders[field]
@@ -638,7 +642,7 @@ class _Stream:
             elif columns:
                 counts[()] += len(columns[0])
             del columns  # free this batch before reading the next
-        return _decode_keys(counts, [tokens for _, tokens in keys])
+        return counts, [list(tokens.keys_by_token) for _, tokens in keys]
 
     def _checks(self) -> list[tuple]:
         """Per field that can reject, in check order, what _screen takes:
@@ -790,12 +794,15 @@ def _field_getter(field: str) -> Callable[[object], object]:
     return operator.attrgetter(field)
 
 
-def _count(items: Iterable | _Stream, dims: Sequence[_Dim]) -> Counter[tuple]:
-    """Records counted by ``dims`` in one pass. A stream is counted by its
-    batch-columnar fold; records are counted the same way, BATCH_ROWS at a
-    time, with a column per dimension read off the records. The two agree."""
+def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (), project=_decoded):
+    """Records that pass the ``where`` filters (bool dimensions), counted by
+    ``dims`` in one pass and rolled up by ``project``: a sum over the token
+    counts, given each dimension's keys in token order, that decodes only
+    the keys it returns. A stream is counted by its batch-columnar fold;
+    records the same way, BATCH_ROWS at a time. The two agree."""
+    project, dims = functools.partial(_rolled, len(where), project), (*where, *dims)
     if isinstance(items, _Stream):
-        return items.count(dims)
+        return items._rollup(dims, project)
     keys = [(_field_getter(field), _Tokens(fn or _same)) for field, fn in dims]
     counts: Counter[tuple] = Counter()
     items = iter(items)
@@ -804,7 +811,7 @@ def _count(items: Iterable | _Stream, dims: Sequence[_Dim]) -> Counter[tuple]:
             counts.update(zip(*(map(tokens.__getitem__, map(get, batch)) for get, tokens in keys)))
         else:
             counts[()] += len(batch)
-    return _decode_keys(counts, [tokens for _, tokens in keys])
+    return project(counts, [list(tokens.keys_by_token) for _, tokens in keys])
 
 
 def ingest_sveerv(source: Source, *, delimiter: str = ",", encoding: str = "utf-8") -> SveervStream:

@@ -13,22 +13,22 @@ independently and combined; rates for an empty denominator are Undefined
 (returned as None), never 0 and never NaN.
 
 The table functions (the tallies, comorbidity_profile, stratified_report)
-count one Counter keyed by just the dimensions the table reads and project
-it. They take records, or a SveervStream, which they count by its
-batch-columnar fold without building records.
+count by just the dimensions the table reads, in tokens, and roll the count
+up to the table's keys, decoding only those (see ``ingest._count``). They
+take records, or a SveervStream, counted by its batch-columnar fold.
 """
 
 import dataclasses
 import functools
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .ingest import SveervStream, _count, _Dim
+from .ingest import SveervStream, _count, _decoded, _Dim
 from .schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -319,7 +319,7 @@ def severity_rates(
     return tgi1, tgi2, tgi3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsReport:
     """Counts plus the derived rates for one stratum. None means Undefined."""
 
@@ -351,7 +351,7 @@ def build_report(
 
 
 # ---------------------------------------------------------------------------
-# Counting. Every case table is a projection of one Counter keyed by just the
+# Counting. Every case table is a roll-up of one count keyed by just the
 # dimensions the table reads. A dimension is a PatientRecord field (or a
 # comorbidity name) and an optional function of the field's value; a filter
 # is such a dimension whose function returns a bool.
@@ -376,41 +376,43 @@ _GROUP_DIMS: dict[str, _Dim] = {
 _CELL_DIMS = (_CLASSIFICATION, _TREATMENT, _ICU, _INTUBATED, _DIED)
 
 
-class _Cell(NamedTuple):
-    """What CaseCounts.add reads of a record: one cell of _CELL_DIMS."""
-
-    classification: CaseClassification
-    treatment: TreatmentStrategy
-    icu: CodedFlag
-    intubated: CodedFlag
-    death_date: object  # None when alive
-
-
 def _tally(
     records: Iterable[PatientRecord] | SveervStream,
     cohort: CohortFilter | None,
     dims: Sequence[_Dim],
     where: Sequence[_Dim] = (),
-) -> Counter[tuple]:
-    """Counts by ``dims`` of the records in the cohort that pass ``where``.
-
-    Filters are counted as leading bool dimensions and dropped from the keys
-    here, so a cohort costs one lookup per distinct raw value on the batch path.
-    """
+    project: Callable = _decoded,
+):
+    """Counts by ``dims`` of the records in the cohort that pass ``where``,
+    or their roll-up by ``project`` (see ``_count``)."""
     where = (cohort._predicates if cohort is not None else ()) + tuple(where)
-    cube = _count(records, where + tuple(dims))
-    if not where:
-        return cube
-    m = len(where)
-    return Counter({key[m:]: n for key, n in cube.items() if all(key[:m])})
+    return _count(records, dims, where, project)
 
 
-def _cell_counts(cell: tuple) -> tuple[int, ...]:
-    """The CaseCounts fields one record of a (classification, treatment, icu,
-    intubated, died) cell adds, in _COUNT_FIELDS order."""
+# What CaseCounts.add reads of a record: one cell of _CELL_DIMS.
+_Cell = namedtuple("_Cell", "classification treatment icu intubated death_date")
+
+
+def _cell_counts(cells: list[list], tokens: tuple) -> tuple[int, ...]:
+    """The CaseCounts fields, in _COUNT_FIELDS order, that one record of a
+    _CELL_DIMS cell adds, given its tokens and each cell dimension's keys."""
+    *cell, died = map(operator.getitem, cells, tokens)
     counts = CaseCounts()
-    counts.add(_Cell(*cell[:4], cell[4] or None))
+    counts.add(_Cell(*cell, died or None))
     return tuple(getattr(counts, name) for name in _COUNT_FIELDS)
+
+
+def _strata_sums(g: int, counts: dict[tuple, int], keys: list[list]) -> dict[tuple, tuple[int, ...]]:
+    """The roll-up of token counts keyed by ``g`` group dimensions and a
+    _CELL_DIMS cell to each group's CaseCounts field sums: a cell's fields are
+    found once per cell, and only the group keys are decoded."""
+    groups, cell_counts = keys[:g], functools.cache(functools.partial(_cell_counts, keys[g:]))
+    sums: dict[tuple, tuple[int, ...]] = {}
+    for key, n in counts.items():
+        add = map(operator.mul, cell_counts(key[g:]), repeat(n))
+        acc = sums.get(key[:g])
+        sums[key[:g]] = tuple(add) if acc is None else tuple(map(operator.add, acc, add))
+    return {tuple(map(operator.getitem, groups, group)): acc for group, acc in sums.items()}
 
 
 def stratified_report(
@@ -424,32 +426,26 @@ def stratified_report(
 
     ``group_by`` names dimensions from GROUP_DIMENSIONS. The result always
     contains the all-None key holding the whole-cohort report, computed as
-    the merge of the leaf strata. Each leaf's CaseCounts is a projection of
-    one Counter keyed by the group dimensions and the (classification,
-    treatment, icu, intubated, died) cell of each record.
+    the merge of the leaf strata. Each leaf's CaseCounts is a roll-up of one
+    count keyed by the group dimensions and the (classification, treatment,
+    icu, intubated, died) cell of each record; each leaf's sums are freed as
+    its report is built.
     """
     unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
     if unknown:
         raise ValueError(f"unknown group_by dimension(s): {', '.join(unknown)}")
     used = [name for name in GROUP_DIMENSIONS if name in group_by]
-    g = len(used)
-    cell_counts = functools.cache(_cell_counts)
-    sums: dict[tuple, list[int]] = {}
-    for key, n in _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS)).items():
-        add = map(operator.mul, cell_counts(key[g:]), repeat(n))
-        acc = sums.get(key[:g])
-        if acc is None:
-            sums[key[:g]] = list(add)
-        else:
-            acc[:] = map(operator.add, acc, add)
-
+    sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
+                  project=functools.partial(_strata_sums, len(used)))
     out: dict[StratumKey, MetricsReport] = {}
-    for leaf, acc in sums.items():
+    national = (0,) * len(_COUNT_FIELDS)  # the merge of the leaves
+    for leaf in list(sums):
+        acc = sums.pop(leaf)
+        national = tuple(map(operator.add, national, acc))
         key = StratumKey(**dict(zip(used, leaf)))
         if key != StratumKey():
             out[key] = build_report(CaseCounts(*acc), criterion, positivity)
-    national = CaseCounts(*map(sum, zip(*sums.values())))  # the merge of the leaves
-    out[StratumKey()] = build_report(national, criterion, positivity)
+    out[StratumKey()] = build_report(CaseCounts(*national), criterion, positivity)
     return out
 
 
@@ -476,11 +472,18 @@ def comorbidity_profile(
     empty map.
     """
     dims = [_AGE_GROUP] + [(name, None) for name in COMORBIDITY_FIELDS]
+    return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], _yes_by_group)
+
+
+def _yes_by_group(counts: dict[tuple, int], keys: list[list]) -> Counter[tuple[str, AgeGroup]]:
+    """The roll-up of token counts keyed by age group and the comorbidity
+    flags to YES counts by (comorbidity, age group)."""
+    groups, flags = keys[0], keys[1:]
     profile: Counter[tuple[str, AgeGroup]] = Counter()
-    for (group, *flags), n in _tally(records, cohort, dims, _SUBCOHORTS[subcohort]).items():
-        for name, flag in zip(COMORBIDITY_FIELDS, flags):
-            if flag is CodedFlag.YES:
-                profile[name, group] += n
+    for (group, *tokens), n in counts.items():
+        for name, values, token in zip(COMORBIDITY_FIELDS, flags, tokens):
+            if values[token] is CodedFlag.YES:
+                profile[name, groups[group]] += n
     return profile
 
 

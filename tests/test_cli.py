@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import pytest
 
+from episurv import _shard
 from episurv.cli import main
 from episurv.fixtures import generate_fixture, load_preset
 from test_ingest import csv_bytes, gisaid_bytes, grow, row
+from test_sharding import SVEERV_LINES, _assert_no_child_left, _file_bytes, _forks, _run, _shards
 
 
 @pytest.fixture()
@@ -498,3 +502,24 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "annex-gisaid" in proc.stdout
+
+
+def test_an_interrupt_prints_one_line_and_leaves_no_worker(tmp_path):
+    """Ctrl-C during a sharded count: exit 130 with one stderr line, no
+    traceback, and the worker killed and reaped."""
+    path = tmp_path / "input"
+    path.write_bytes(_file_bytes(SVEERV_LINES[:80]))
+    fold = _shard._count_range
+
+    def interrupted(stream, start, *rest):
+        if start == stream.stats.bytes_read:  # the first range, folded in this process
+            raise KeyboardInterrupt
+        threading.Event().wait(60)  # a worker: still running when it is killed
+        return fold(stream, start, *rest)
+
+    with _shards(2), mock.patch.object(_shard, "_count_range", interrupted), _forks() as pids:
+        code, out, err = _run(["epi-report", "-i", str(path), "--group-by", "state,sex"])
+    assert code == 130 and out == b""
+    assert err.splitlines() == ["episurv: interrupted"]
+    assert len(pids) == 1
+    _assert_no_child_left()

@@ -6,6 +6,11 @@ metrics, ``genomic-report`` renders variant tables from sequence metadata,
 ``rank``/``scatter``/``severity`` produce the chart-feeding per-state outputs,
 and ``fixture-gen`` writes synthetic datasets from shipped presets.
 
+Every table is rendered the same way, by ``_cmd_table``: it opens the input
+as the subcommand's stream kind, computes the table's data by its entry in
+``_TABLES``, renders it and writes the chunks as they come. ``_TABLES`` is
+the one place that ties a table to its subcommand and its producer.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, malformed
 CSV, missing columns, inconsistent marginals, unknown preset), 130 interrupted.
 """
@@ -14,7 +19,7 @@ import argparse
 import os
 import sys
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Imported first: compiling ingest before genomics and its imports keeps the
 # peak RSS of the small commands about 0.3 MB lower (Python 3.11, with no
@@ -66,9 +71,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this CLI reserves 2 for data errors."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
+        raise SystemExit(_usage_error(self, message))
 
 
 def _int_list(text: str) -> frozenset[int]:
@@ -129,13 +132,6 @@ def _cohort_from(args) -> CohortFilter | None:
     )
 
 
-def _progress(stats) -> None:
-    sys.stderr.write(
-        f"read {stats.rows_read} rows: {stats.rows_accepted} accepted,"
-        f" {stats.rows_rejected} rejected\n"
-    )
-
-
 def _write(chunks: Iterable[bytes], out: str | None) -> None:
     """Write each chunk as it comes, to stdout or to the file ``out``."""
     if out in (None, "-"):
@@ -148,94 +144,77 @@ def _write(chunks: Iterable[bytes], out: str | None) -> None:
 
 # --- commands -----------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
+def _open(args):
+    """The stream of ``args.input``, of the kind the subcommand sets."""
     if args.kind == "gisaid":
-        stream = ingest_gisaid(args.input, encoding=args.encoding)
-    else:
-        stream = ingest_sveerv(args.input, delimiter=args.delimiter,
-                               encoding=args.encoding)
+        return ingest_gisaid(args.input, encoding=args.encoding)
+    return ingest_sveerv(args.input, delimiter=args.delimiter, encoding=args.encoding)
+
+
+def _cmd_validate(args) -> int:
+    stream = _open(args)
     stream.count(())  # the batch path: only the counters are reported
     _write([validate_report(stream.stats).encode("utf-8")], args.out)
     return 0
 
 
-_EPI_TALLIES = {
-    "t1": classification_sex_tally,
-    "t2": classification_sex_tally,
-    "t3": treatment_sex_tally,
-    "t4": state_treatment_tally,
-    "t5": intubation_sex_tally,
-    "t6": death_classification_sex_tally,
-    "t7": death_icu_sex_tally,
+def _tally(tally):
+    return lambda stream, args: tally(stream, _cohort_from(args))
+
+
+def _strata(stream, args) -> dict[StratumKey, MetricsReport]:
+    return stratified_report(stream, _cohort_from(args), args.group_by,
+                             SeverityCriterion(args.severity_rule),
+                             PositivityMode(args.positivity))
+
+
+def _summary(stream, args):
+    return state_summary(stream, args.catalog, args.label, args.states)
+
+
+# Every table, with the subcommand that renders it and what computes its data
+# from the open stream and the parsed arguments: the one place that ties a
+# table to its producer. A subcommand's --table choices are its tables here,
+# in this order.
+_TABLES: dict[TableId, tuple[str, Callable]] = {
+    TableId.T1: ("epi-report", _tally(classification_sex_tally)),
+    TableId.T2: ("epi-report", _tally(classification_sex_tally)),
+    TableId.T3: ("epi-report", _tally(treatment_sex_tally)),
+    TableId.T4: ("epi-report", _tally(state_treatment_tally)),
+    TableId.T5: ("epi-report", _tally(intubation_sex_tally)),
+    TableId.T6: ("epi-report", _tally(death_classification_sex_tally)),
+    TableId.T7: ("epi-report", _tally(death_icu_sex_tally)),
+    TableId.METRICS: ("epi-report", _strata),
+    TableId.COMORBIDITY_PROFILE: ("epi-report", lambda stream, args: comorbidity_profile(
+        stream, _cohort_from(args), Subcohort(args.subcohort))),
+    TableId.G3_SHARES: ("genomic-report", lambda stream, args: variant_shares(stream, args.catalog)),
+    TableId.T8: ("genomic-report", lambda stream, args: full_crosstab(stream, args.catalog)),
+    TableId.T9: ("genomic-report", lambda stream, args: status_crosstab(stream, args.catalog, args.label)),
+    TableId.T10: ("genomic-report", _summary),
+    TableId.T11: ("genomic-report", _summary),
+    TableId.T12: ("genomic-report", _summary),
+    TableId.T13: ("genomic-report", _summary),
+    TableId.RANK: ("rank", lambda stream, args: (RankMetric(args.metric), _strata(stream, args))),
+    TableId.G4_SCATTER: ("scatter", _strata),
+    TableId.G5_STACK: ("severity", _strata),
 }
 
 
-def _cmd_epi_report(args) -> int:
-    cohort = _cohort_from(args)
-    stream = ingest_sveerv(args.input, delimiter=args.delimiter,
-                           encoding=args.encoding)
-    if args.table in _EPI_TALLIES:
-        data = _EPI_TALLIES[args.table](stream, cohort)
-    elif args.table == "comorbidity-profile":
-        data = comorbidity_profile(stream, cohort, Subcohort(args.subcohort))
-    else:
-        data = stratified_report(
-            stream, cohort, args.group_by,
-            SeverityCriterion(args.severity_rule),
-            PositivityMode(args.positivity),
-        )
-    chunks = render_chunks(TableId(args.table), data, args.format)
-    if args.table == "metrics":
+def _cmd_table(args) -> int:
+    table = TableId(args.table)
+    if args.kind == "gisaid":  # before the input: when both are missing, the error names the catalog
+        args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
+    stream = _open(args)
+    data = _TABLES[table][1](stream, args)
+    chunks = render_chunks(table, data, args.format)
+    if table is TableId.METRICS:
         national = data[StratumKey()].fatality_pct
         if national is not None and format_pct(national) == "15.60":
             sys.stderr.write(_FATALITY_NOTE + "\n")
-    _progress(stream.stats)
+    stats = stream.stats
+    sys.stderr.write(f"read {stats.rows_read} rows: {stats.rows_accepted} accepted,"
+                     f" {stats.rows_rejected} rejected\n")
     _write(chunks, args.out)
-    return 0
-
-
-def _cmd_genomic_report(args) -> int:
-    catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
-    stream = ingest_gisaid(args.input, encoding=args.encoding)
-    if args.table == "g3-shares":
-        data = variant_shares(stream, catalog)
-    elif args.table == "t8":
-        data = full_crosstab(stream, catalog)
-    elif args.table == "t9":
-        data = status_crosstab(stream, catalog, args.label)
-    else:
-        data = state_summary(stream, catalog, args.label, args.states)
-    _progress(stream.stats)
-    _write(render_chunks(TableId(args.table), data, args.format), args.out)
-    return 0
-
-
-def _state_reports(args) -> dict[StratumKey, MetricsReport]:
-    """Ingest and stratify by state: the data behind rank, scatter and severity."""
-    stream = ingest_sveerv(args.input, delimiter=args.delimiter,
-                           encoding=args.encoding)
-    reports = stratified_report(
-        stream, _cohort_from(args), ("state",),
-        SeverityCriterion(args.severity_rule),
-        PositivityMode(args.positivity),
-    )
-    _progress(stream.stats)
-    return reports
-
-
-def _cmd_rank(args) -> int:
-    data = (RankMetric(args.metric), _state_reports(args))
-    _write(render_chunks(TableId.RANK, data, args.format), args.out)
-    return 0
-
-
-def _cmd_scatter(args) -> int:
-    _write(render_chunks(TableId.G4_SCATTER, _state_reports(args), args.format), args.out)
-    return 0
-
-
-def _cmd_severity(args) -> int:
-    _write(render_chunks(TableId.G5_STACK, _state_reports(args), args.format), args.out)
     return 0
 
 
@@ -287,7 +266,8 @@ def _add_io(p: argparse.ArgumentParser, *, gisaid: bool = False, table: bool = T
                        help="field delimiter, one character (default ,)")
 
 
-def _add_cohort(p: argparse.ArgumentParser) -> None:
+def _add_registry_options(p: argparse.ArgumentParser) -> None:
+    """The cohort filters and the metric settings of a registry table."""
     p.add_argument("--indigenous-only", action="store_true",
                    help="keep only records whose indigenous-language flag is yes")
     p.add_argument("--states", type=_int_list, default=None, metavar="CODES",
@@ -300,9 +280,6 @@ def _add_cohort(p: argparse.ArgumentParser) -> None:
                    metavar="DATE", help="inclusive lower bound on symptom onset")
     p.add_argument("--onset-to", type=date.fromisoformat, default=None,
                    metavar="DATE", help="inclusive upper bound on symptom onset")
-
-
-def _add_metric_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--severity-rule",
                    choices=tuple(c.value for c in SeverityCriterion),
                    default=SeverityCriterion.ICU_AND_INTUBATION.value,
@@ -311,6 +288,25 @@ def _add_metric_knobs(p: argparse.ArgumentParser) -> None:
                    choices=tuple(m.value for m in PositivityMode),
                    default=PositivityMode.AGGREGATE.value,
                    help="positivity denominator (default aggregate)")
+
+
+def _add_table_command(sub, name: str, help: str, kind: str = "sveerv",
+                       default: str | None = None) -> argparse.ArgumentParser:
+    """The subcommand ``name``, which renders its tables in _TABLES from a
+    stream of ``kind``: the one chosen by --table (``default`` if none is),
+    or else its only one, a per-state chart."""
+    p = sub.add_parser(name, help=help)
+    _add_io(p, gisaid=kind == "gisaid")
+    if kind == "sveerv":
+        _add_registry_options(p)
+    tables = tuple(table.value for table, (command, _) in _TABLES.items() if command == name)
+    if default is None:
+        p.set_defaults(table=tables[0], group_by=("state",))
+    else:
+        p.add_argument("--table", choices=tables, default=default,
+                       help=f"which table to render (default {default})")
+    p.set_defaults(func=_cmd_table, kind=kind)
+    return p
 
 
 def _build_parser() -> _Parser:
@@ -328,28 +324,17 @@ def _build_parser() -> _Parser:
     _add_io(p, table=False)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("epi-report",
-                       help="render case-registry tables or stratified metrics")
-    _add_io(p)
-    _add_cohort(p)
-    _add_metric_knobs(p)
-    p.add_argument("--table",
-                   choices=tuple(_EPI_TALLIES) + ("metrics", "comorbidity-profile"),
-                   default="metrics", help="which table to render (default metrics)")
+    p = _add_table_command(sub, "epi-report", "render case-registry tables or stratified metrics",
+                           default="metrics")
     p.add_argument("--group-by", type=_group_by, default=(), metavar="DIMS",
                    help="metrics table strata: comma list of "
                         + ",".join(d.replace("_", "-") for d in GROUP_DIMENSIONS))
     p.add_argument("--subcohort", choices=tuple(s.value for s in Subcohort),
                    default=Subcohort.DEATHS_ICU_INTUBATED.value,
                    help="rows counted by the comorbidity profile")
-    p.set_defaults(func=_cmd_epi_report)
 
-    p = sub.add_parser("genomic-report",
-                       help="render variant tables from sequence metadata")
-    _add_io(p, gisaid=True)
-    p.add_argument("--table",
-                   choices=("g3-shares", "t8", "t9", "t10", "t11", "t12", "t13"),
-                   default="g3-shares", help="which table to render (default g3-shares)")
+    p = _add_table_command(sub, "genomic-report", "render variant tables from sequence metadata",
+                           kind="gisaid", default="g3-shares")
     p.add_argument("--label", default="Delta",
                    help="variant label for t9-t13 (default Delta)")
     p.add_argument("--states", type=_name_list,
@@ -357,31 +342,13 @@ def _build_parser() -> _Parser:
                    metavar="NAMES", help="state names for t10-t13, comma-separated")
     p.add_argument("--catalog", default=None,
                    help="variant catalog file overriding the built-in one")
-    p.set_defaults(func=_cmd_genomic_report)
 
-    p = sub.add_parser("rank",
-                       help="order states by a headline metric")
-    _add_io(p)
-    _add_cohort(p)
-    _add_metric_knobs(p)
+    p = _add_table_command(sub, "rank", "order states by a headline metric")
     p.add_argument("--metric", choices=tuple(m.value for m in RankMetric),
                    default=RankMetric.FATALITY.value,
                    help="ranking metric (default fatality)")
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("scatter",
-                       help="per-state fatality vs positivity table")
-    _add_io(p)
-    _add_cohort(p)
-    _add_metric_knobs(p)
-    p.set_defaults(func=_cmd_scatter)
-
-    p = sub.add_parser("severity",
-                       help="per-state severity typology table")
-    _add_io(p)
-    _add_cohort(p)
-    _add_metric_knobs(p)
-    p.set_defaults(func=_cmd_severity)
+    _add_table_command(sub, "scatter", "per-state fatality vs positivity table")
+    _add_table_command(sub, "severity", "per-state severity typology table")
 
     p = sub.add_parser("fixture-gen",
                        help="write a synthetic dataset from a preset")

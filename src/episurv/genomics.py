@@ -28,6 +28,7 @@ from .ingest import (
     _count,
     _Dim,
     _open_source,
+    _resolve_header,
 )
 from .metrics import AgeGroup, age_group
 from .schema import Sex
@@ -190,8 +191,10 @@ def load_catalog(source) -> VariantCatalog:
     """Load a catalog override from delimited text.
 
     Expected columns: who_label, category (VOC/VOI), clades (semicolon
-    separated), pango_pattern. The delimiter (tab or comma) is sniffed from
-    the header line.
+    separated), pango_pattern, found as the readers find theirs (a BOM
+    stripped, case ignored). The delimiter (tab or comma) is sniffed from the
+    header line. A row too short for those columns raises ValueError naming
+    its line.
     """
     raw, owns = _open_source(source)
     try:
@@ -204,17 +207,14 @@ def load_catalog(source) -> VariantCatalog:
         raise MissingRequiredColumn(list(_CATALOG_COLUMNS))
     delimiter = "\t" if "\t" in lines[0] else ","
     reader = csv.reader(lines, delimiter=delimiter)
-    header = [cell.strip().casefold() for cell in next(reader)]
-    try:
-        idx = [header.index(col) for col in _CATALOG_COLUMNS]
-    except ValueError:
-        raise MissingRequiredColumn(
-            [col for col in _CATALOG_COLUMNS if col not in header]
-        ) from None
+    idx = list(_resolve_header(next(reader), _CATALOG_COLUMNS).values())
     variants = []
     for row in reader:
         if not row or not any(cell.strip() for cell in row):
             continue
+        if len(row) <= max(idx):
+            raise ValueError(f"catalog line {reader.line_num}: {len(row)} field(s),"
+                             f" its columns need {max(idx) + 1}")
         label, category, clades, pattern = (row[i].strip() for i in idx)
         variants.append(
             VariantDefinition(

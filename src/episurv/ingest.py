@@ -257,15 +257,6 @@ def _resolve_header(
     return {col: positions[col.lower()] for col in required}
 
 
-# Raw-string decode tables for the common spellings; the column decoders
-# below fall back to int() for the rest (see _parse_code).
-_FLAG_BY_STR = {str(f.value): f for f in CodedFlag}
-_CLASS_BY_STR = {str(c.value): c for c in CaseClassification}
-_TREAT_BY_STR = {str(t.value): t for t in TreatmentStrategy}
-_SEX_BY_STR = {str(code): sex for code, sex in SEX_CODES.items()}
-_STATE_BY_STR = {str(code): code for code in range(1, 33)}
-_AGE_BY_STR = {str(age): age for age in range(MAX_AGE + 1)}
-
 # The thirteen yes/no columns in the order a row checks them.
 _FLAG_COLUMNS = ("HABLA_LENGUA_INDIG", "UCI", "INTUBADO") + SVEERV_COLUMNS[11:]
 
@@ -283,16 +274,11 @@ def _parse_int(raw: str, column: str) -> int:
         raise _Reject("BadInteger", f"{column}={raw!r}") from None
 
 
-def _parse_code(table: dict, raw: str, column: str):
-    code = table.get(raw)
-    if code is None:
-        try:  # the int() rule: padding, leading zeros
-            code = table.get(str(int(raw)))
-        except ValueError:
-            pass
-        if code is None:
-            raise _Reject("UnknownCode", f"{column}={raw!r}")
-    return code
+def _parse_code(enum: type, raw: str, column: str):
+    try:
+        return enum(int(raw))
+    except ValueError:
+        raise _Reject("UnknownCode", f"{column}={raw!r}") from None
 
 
 def _parse_date(raw: str, column: str) -> date:
@@ -303,29 +289,23 @@ def _parse_date(raw: str, column: str) -> date:
 
 
 def _parse_state(raw: str) -> int:
-    state = _STATE_BY_STR.get(raw)
-    if state is None:
-        state = _parse_int(raw, "ENTIDAD_RES")
-        if not 1 <= state <= 32:
-            raise _Reject("UnknownCode", f"ENTIDAD_RES={state}")
+    state = _parse_int(raw, "ENTIDAD_RES")
+    if not 1 <= state <= 32:
+        raise _Reject("UnknownCode", f"ENTIDAD_RES={state}")
     return state
 
 
 def _parse_sex(raw: str) -> Sex:
-    sex = _SEX_BY_STR.get(raw)
-    if sex is None:  # non-integer rejects; other codes are unspecified
-        sex = SEX_CODES.get(_parse_int(raw, "SEXO"), Sex.UNSPECIFIED)
-    return sex
+    # A non-integer rejects; other codes are unspecified.
+    return SEX_CODES.get(_parse_int(raw, "SEXO"), Sex.UNSPECIFIED)
 
 
 def _parse_age(raw: str) -> int | None:
-    age = _AGE_BY_STR.get(raw)
-    if age is None:
-        if not raw.strip():
-            return None
-        age = _parse_int(raw, "EDAD")
-        if not 0 <= age <= MAX_AGE:
-            raise _Reject("AgeOutOfRange", f"EDAD={age}")
+    if not raw.strip():
+        return None
+    age = _parse_int(raw, "EDAD")
+    if not 0 <= age <= MAX_AGE:
+        raise _Reject("AgeOutOfRange", f"EDAD={age}")
     return age
 
 
@@ -345,17 +325,17 @@ def _parse_onset(raw: str) -> date | None:
 # both decode through it.
 _COLUMN_DECODERS = (
     ("CLASIFICACION_FINAL", "classification",
-     lambda raw: _parse_code(_CLASS_BY_STR, raw, "CLASIFICACION_FINAL")),
+     lambda raw: _parse_code(CaseClassification, raw, "CLASIFICACION_FINAL")),
     ("ENTIDAD_RES", "state_code", _parse_state),
     ("SEXO", "sex", _parse_sex),
     ("EDAD", "age_years", _parse_age),
     ("TIPO_PACIENTE", "treatment",
-     lambda raw: _parse_code(_TREAT_BY_STR, raw, "TIPO_PACIENTE")),
+     lambda raw: _parse_code(TreatmentStrategy, raw, "TIPO_PACIENTE")),
     ("FECHA_DEF", "death_date", _parse_death),
     ("FECHA_SINTOMAS", "symptom_onset_date", _parse_onset),
     ("MUNICIPIO_RES", "municipality_code", lambda raw: _parse_int(raw, "MUNICIPIO_RES")),
     *(
-        (column, field, functools.partial(_parse_code, _FLAG_BY_STR, column=column))
+        (column, field, functools.partial(_parse_code, CodedFlag, column=column))
         for column, field in zip(
             _FLAG_COLUMNS,
             ("speaks_indigenous_language", "icu", "intubated") + COMORBIDITY_FIELDS,

@@ -150,7 +150,7 @@ class StratumKey(NamedTuple):
 
 
 #: Dimensions accepted by stratified_report's group_by, in key order.
-GROUP_DIMENSIONS = ("state", "municipality", "sex", "age_group")
+GROUP_DIMENSIONS = StratumKey._fields
 
 
 @dataclass(slots=True)
@@ -487,27 +487,21 @@ def _yes_by_group(counts: dict[tuple, int], keys: list[list]) -> Counter[tuple[s
     return profile
 
 
-def _metric_value(report: MetricsReport, metric: RankMetric) -> float | None:
-    if metric is RankMetric.FATALITY:
-        return report.fatality_pct
-    if metric is RankMetric.POSITIVITY:
-        return report.positivity_pct
-    return report.tgi3_pct
-
-
 def rank_states(
     reports: dict[StratumKey, MetricsReport],
     metric: RankMetric,
 ) -> list[tuple[int, float]]:
     """Order per-state strata by a metric, descending; ties break by state code.
 
-    Strata where the metric is Undefined are left out of the ranking.
+    Strata where the metric is Undefined are left out of the ranking. The
+    metric is the report's ``<metric>_pct`` field.
     """
+    field = f"{metric.value}_pct"
     rows = []
     for key, report in reports.items():
         if not key.is_state():
             continue
-        value = _metric_value(report, metric)
+        value = getattr(report, field)
         if value is not None:
             rows.append((key.state, value))
     rows.sort(key=lambda sv: (-sv[1], sv[0]))

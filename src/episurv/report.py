@@ -11,6 +11,7 @@ at a time (the metrics rows, too, are built as they are rendered);
 ``render`` joins them.
 """
 
+from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import lru_cache, partial
@@ -20,7 +21,8 @@ from operator import attrgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
-from .metrics import AgeGroup, MetricsReport, RankMetric, StratumKey, rank_states
+from .metrics import (GROUP_DIMENSIONS, AgeGroup, CaseCounts, MetricsReport, RankMetric,
+                      StratumKey, rank_states)
 from .schema import (
     COMORBIDITY_FIELDS,
     CaseClassification,
@@ -245,11 +247,8 @@ def _build_comorbidity(data: Mapping):
     return cols, rows, []
 
 
-_DIM_LABELS = ("state", "municipality", "sex", "age_group")
-_COUNT_COLS = ("total", "positive", "negative", "suspect", "invalid", "not_performed",
-               "ambulatory_pos", "hospitalized_pos", "icu_pos", "intubated_pos",
-               "icu_and_intubated_pos", "deaths_pos", "deaths_icu_intubated_pos")
-_RATE_COLS = ("fatality_pct", "positivity_pct", "tgi1_pct", "tgi2_pct", "tgi3_pct")
+_COUNT_COLS = tuple(f.name for f in fields(CaseCounts))
+_RATE_COLS = tuple(f.name for f in fields(MetricsReport) if f.name != "counts")
 _counts_of = attrgetter(*_COUNT_COLS)
 _rates_of = attrgetter(*_RATE_COLS)
 
@@ -271,7 +270,7 @@ def _build_metrics(data: Mapping):
     keys = _in_stratum_order(data)
     if not all(isinstance(report, MetricsReport) for report in data.values()):
         raise TypeError("expects MetricsReport values")
-    return _DIM_LABELS + _COUNT_COLS + _RATE_COLS, _metrics_rows(keys, data), []
+    return GROUP_DIMENSIONS + _COUNT_COLS + _RATE_COLS, _metrics_rows(keys, data), []
 
 
 _CLASS_COLS = ("classification_code", "classification")

@@ -8,8 +8,10 @@ from unittest import mock
 import pytest
 
 from episurv import _shard
-from episurv.cli import main
+from episurv.cli import _FATALITY_NOTE, main
 from episurv.fixtures import generate_fixture, load_preset
+from episurv.ingest import ingest_gisaid, ingest_sveerv
+from episurv.report import TableId
 from test_ingest import csv_bytes, gisaid_bytes, grow, row
 from test_sharding import SVEERV_LINES, _assert_no_child_left, _file_bytes, _forks, _run, _shards
 
@@ -430,6 +432,64 @@ class TestGenomicReport:
         catalog.write_text("who_label,category\nAlpha,VOC\n")
         assert main(["genomic-report", "-i", gisaid_file,
                      "--catalog", str(catalog)]) == 2
+
+    def test_a_short_catalog_row_is_one_error_line(self, gisaid_file, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("who_label,category,clades,pango_pattern\nHomegrown,VOI\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "episurv.cli", "genomic-report", "-i", gisaid_file,
+             "--catalog", str(catalog)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "episurv: error: catalog line 2: 2 field(s), its columns need 4\n"
+
+    def test_a_catalog_saved_with_a_bom_reads(self, gisaid_file, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(b"\xef\xbb\xbfwho_label,category,clades,pango_pattern\nHomegrown,VOI,GK,B.1.1.519\n")
+        assert main(["genomic-report", "-i", gisaid_file, "--catalog", str(catalog)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "Homegrown\t1\t100.00"
+
+    def test_a_missing_catalog_is_named_before_a_missing_input(self, tmp_path, capsys):
+        """The catalog is loaded before the input is opened."""
+        argv = ["genomic-report", "-i", str(tmp_path / "meta.tsv"), "--catalog", str(tmp_path / "catalog.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"episurv: error: [Errno 2] No such file or directory: '{tmp_path / 'catalog.csv'}'\n"
+
+
+# The command that renders each table; every TableId has one.
+_TABLE_COMMANDS = {
+    **{table: ["epi-report", "--table", table.value] for table in (
+        TableId.T1, TableId.T2, TableId.T3, TableId.T4, TableId.T5, TableId.T6, TableId.T7,
+        TableId.METRICS, TableId.COMORBIDITY_PROFILE)},
+    **{table: ["genomic-report", "--table", table.value] for table in (
+        TableId.G3_SHARES, TableId.T8, TableId.T9, TableId.T10, TableId.T11, TableId.T12, TableId.T13)},
+    TableId.RANK: ["rank"],
+    TableId.G4_SCATTER: ["scatter"],
+    TableId.G5_STACK: ["severity"],
+}
+
+
+def test_every_table_has_a_command():
+    assert set(_TABLE_COMMANDS) == set(TableId)
+
+
+@pytest.mark.parametrize("table", list(TableId), ids=lambda table: table.value)
+def test_a_table_prints_only_its_progress_line_on_stderr(table, annex_epi_path, annex_gisaid_path, capsys):
+    """On the annex inputs, stderr is exactly the progress line, and for the
+    metrics table, whose national fatality is the contested figure, the
+    fatality note before it."""
+    argv = _TABLE_COMMANDS[table]
+    path = annex_gisaid_path if argv[0] == "genomic-report" else annex_epi_path
+    stream = (ingest_gisaid if argv[0] == "genomic-report" else ingest_sveerv)(path)
+    stream.count(())
+    stats = stream.stats
+    assert stats.rows_read > 0
+    progress = f"read {stats.rows_read} rows: {stats.rows_accepted} accepted, {stats.rows_rejected} rejected\n"
+    assert main([*argv, "-i", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert captured.err == (_FATALITY_NOTE + "\n" if table is TableId.METRICS else "") + progress
 
 
 class TestFixtureGen:

@@ -185,6 +185,23 @@ class TestLoadCatalog:
         with pytest.raises(MissingRequiredColumn):
             load_catalog(b"who_label,category\nAlpha,VOC\n")
 
+    def test_header_is_found_as_the_readers_find_theirs(self):
+        text = "\ufeffWho_Label,CATEGORY,clades ,pango_pattern\nAlpha,VOC,GRY,B.1.1.7\n"
+        catalog = load_catalog(text.encode("utf-8"))
+        assert [v.who_label for v in catalog.variants] == ["Alpha"]
+        with pytest.raises(MissingRequiredColumn, match=r"missing required column\(s\): clades, pango_pattern$"):
+            load_catalog(b"\xef\xbb\xbfwho_label,category\nAlpha,VOC\n")
+
+    @pytest.mark.parametrize("row", ["Alpha,VOC,GRY", "Alpha,VOC", "Alpha"])
+    def test_a_short_row_names_its_line(self, row):
+        text = f"who_label,category,clades,pango_pattern\nBeta,VOC,GH,B.1.351\n\n{row}\n"
+        with pytest.raises(ValueError, match=r"^catalog line 4: \d field\(s\), its columns need 4$"):
+            load_catalog(text.encode())
+
+    def test_a_row_may_omit_columns_after_the_required_ones(self):
+        text = "who_label,category,clades,pango_pattern,note\nAlpha,VOC,GRY,B.1.1.7\n"
+        assert load_catalog(text.encode()).classify("B.1.1.7") == "Alpha"
+
     def test_bad_pattern_propagates(self):
         text = "who_label,category,clades,pango_pattern\nAlpha,VOC,GRY,B..7\n"
         with pytest.raises(MalformedSegment):

@@ -40,6 +40,7 @@ from .schema import (
     SEX_CODES,
     Sex,
     TreatmentStrategy,
+    is_positive,
 )
 
 __all__ = [
@@ -85,6 +86,14 @@ _DATE_STR = [
 ]
 
 
+def _cells(table: dict | None, key=lambda outer, inner: (outer, inner)) -> dict | None:
+    """``{outer: {inner: n}}`` as ``{key(outer, inner): int(n)}`` in file order, outer keys
+    first; the plans, and so the bytes, follow that order. None stays None."""
+    if table is None:
+        return None
+    return {key(outer, inner): int(n) for outer, cells in table.items() for inner, n in cells.items()}
+
+
 @dataclass(frozen=True)
 class EpiMarginalSpec:
     """Cell constraints for a case-registry fixture.
@@ -105,37 +114,12 @@ class EpiMarginalSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EpiMarginalSpec":
-        def sex_of(name: str) -> Sex:
-            return Sex(name)
+        def class_sex(code: str, sex: str) -> tuple[int, Sex]:
+            return int(code), Sex(sex)
 
-        def flag_of(name: str) -> CodedFlag:
-            return CodedFlag[name.upper()]
+        def flag_sex(flag: str, sex: str) -> tuple[CodedFlag, Sex]:
+            return CodedFlag[flag.upper()], Sex(sex)
 
-        def by_class_sex(table: dict | None) -> dict | None:
-            if table is None:
-                return None
-            return {
-                (int(code), sex_of(sex)): int(n)
-                for code, cells in table.items()
-                for sex, n in cells.items()
-            }
-
-        def by_flag_sex(table: dict | None) -> dict | None:
-            if table is None:
-                return None
-            return {
-                (flag_of(flag), sex_of(sex)): int(n)
-                for flag, cells in table.items()
-                for sex, n in cells.items()
-            }
-
-        treatment = None
-        if raw.get("treatment_sex") is not None:
-            treatment = {
-                (sex_of(sex), TreatmentStrategy[treat.upper()]): int(n)
-                for treat, cells in raw["treatment_sex"].items()
-                for sex, n in cells.items()
-            }
         states = None
         if raw.get("state_treatment") is not None:
             states = {
@@ -143,12 +127,13 @@ class EpiMarginalSpec:
                 for code, cells in raw["state_treatment"].items()
             }
         return cls(
-            classification_sex=by_class_sex(raw["classification_sex"]),
-            treatment_sex=treatment,
+            classification_sex=_cells(raw["classification_sex"], class_sex),
+            treatment_sex=_cells(raw.get("treatment_sex"),
+                                 lambda treat, sex: (Sex(sex), TreatmentStrategy[treat.upper()])),
             state_treatment=states,
-            intubation_sex=by_flag_sex(raw.get("intubation_sex")),
-            deaths_classification_sex=by_class_sex(raw.get("deaths_classification_sex")),
-            deaths_icu_sex=by_flag_sex(raw.get("deaths_icu_sex")),
+            intubation_sex=_cells(raw.get("intubation_sex"), flag_sex),
+            deaths_classification_sex=_cells(raw.get("deaths_classification_sex"), class_sex),
+            deaths_icu_sex=_cells(raw.get("deaths_icu_sex"), flag_sex),
             seed=int(raw.get("seed", 0)),
         )
 
@@ -172,37 +157,23 @@ class GenomicBlockSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenomicBlockSpec":
-        def pairs(table: dict | None) -> dict | None:
-            if table is None:
-                return None
-            return {
-                (outer, inner): int(n)
-                for outer, cells in table.items()
-                for inner, n in cells.items()
-            }
-
-        state_sex = None
-        if raw.get("state_sex") is not None:
-            state_sex = {
-                (state, Sex(sex)): int(n)
-                for state, cells in raw["state_sex"].items()
-                for sex, n in cells.items()
-            }
         state_age_sex = None
         if raw.get("state_age_sex") is not None:
-            bins = (AgeGroup.Y0_20, AgeGroup.Y21_40, AgeGroup.Y41_59,
-                    AgeGroup.Y60_PLUS, AgeGroup.UNKNOWN)
             state_age_sex = {}
             for state, cells in raw["state_age_sex"].items():
+                # One count per age group, in AgeGroup order.
                 for sex, counts in cells.items():
-                    for group, n in zip(bins, counts):
+                    if len(counts) > len(AgeGroup):
+                        raise ValueError(f"state_age_sex {state}/{sex}: {len(counts)} counts"
+                                         f" for {len(AgeGroup)} age bins")
+                    for group, n in zip(AgeGroup, counts):
                         state_age_sex[(state, group, Sex(sex))] = int(n)
         return cls(
-            lineage_clade=pairs(raw["lineage_clade"]),
-            status_clade=pairs(raw.get("status_clade")),
-            state_clade=pairs(raw.get("state_clade")),
-            state_sex=state_sex,
-            state_vaccine=pairs(raw.get("state_vaccine")),
+            lineage_clade=_cells(raw["lineage_clade"]),
+            status_clade=_cells(raw.get("status_clade")),
+            state_clade=_cells(raw.get("state_clade")),
+            state_sex=_cells(raw.get("state_sex"), lambda state, sex: (state, Sex(sex))),
+            state_vaccine=_cells(raw.get("state_vaccine")),
             state_age_sex=state_age_sex,
         )
 
@@ -231,11 +202,18 @@ class GenomicMarginalSpec:
 class _EpiCell:
     classification: int
     sex: Sex
-    treatment: int  # TIPO_PACIENTE code
-    icu: int        # coded flag values as written to the file
-    intubated: int
+    treatment: TreatmentStrategy
+    flag: CodedFlag  # written alike as the ICU and the intubation flag
     death: bool
     profile: str
+
+
+_CLASS_CODES = [c.value for c in CaseClassification]
+_POSITIVE_CODES = [c.value for c in CaseClassification if is_positive(c)]
+_LAB = CaseClassification.CONFIRMED_BY_LAB.value
+# A hospitalized case's flags; an ambulatory case's is NOT_APPLICABLE, and its cell comes first.
+_HOSPITAL_FLAGS = (CodedFlag.YES, CodedFlag.NO, CodedFlag.IGNORED, CodedFlag.UNSPECIFIED)
+_CELL_FLAGS = (CodedFlag.NOT_APPLICABLE, *_HOSPITAL_FLAGS)
 
 
 def _fill_in_order(cell_sizes: list[int], amounts: list[tuple[object, int]]) -> list[list[tuple[object, int]]]:
@@ -263,8 +241,8 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
     total_hosp = 0
 
     for code, _sex in spec.classification_sex:
-        if not 1 <= code <= 7:
-            conflicts.append(f"classification code {code} outside 1-7")
+        if code not in _CLASS_CODES:
+            conflicts.append(f"classification code {code} outside {_CLASS_CODES[0]}-{_CLASS_CODES[-1]}")
     if conflicts:
         raise InconsistentMarginals(conflicts)
 
@@ -272,11 +250,11 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
              if any(sex is s for (_, sex) in spec.classification_sex)]
 
     for sex in sexes:
-        cls = {c: 0 for c in range(1, 8)}
+        cls = dict.fromkeys(_CLASS_CODES, 0)
         for (code, s), n in spec.classification_sex.items():
             if s is sex:
                 cls[code] += n
-        positives = cls[1] + cls[2] + cls[3]
+        positives = sum(cls[c] for c in _POSITIVE_CODES)
 
         if spec.treatment_sex is not None:
             amb = spec.treatment_sex.get((sex, TreatmentStrategy.AMBULATORY), 0)
@@ -289,7 +267,6 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
         else:
             amb, hosp = positives, 0
 
-        flags = (CodedFlag.YES, CodedFlag.NO, CodedFlag.IGNORED, CodedFlag.UNSPECIFIED)
         if spec.intubation_sex is not None:
             tube = {f: spec.intubation_sex.get((f, sex), 0) for f in CodedFlag}
             if tube[CodedFlag.NOT_APPLICABLE] != amb:
@@ -297,23 +274,23 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
                     f"{sex.value}: intubation not_applicable {tube[CodedFlag.NOT_APPLICABLE]}"
                     f" != ambulatory {amb}"
                 )
-            if sum(tube[f] for f in flags) != hosp:
+            if sum(tube[f] for f in _HOSPITAL_FLAGS) != hosp:
                 conflicts.append(
                     f"{sex.value}: intubation yes/no/ignored/unspecified sum"
-                    f" {sum(tube[f] for f in flags)} != hospitalized {hosp}"
+                    f" {sum(tube[f] for f in _HOSPITAL_FLAGS)} != hospitalized {hosp}"
                 )
         else:
             tube = {f: 0 for f in CodedFlag}
             tube[CodedFlag.NO] = hosp
             tube[CodedFlag.NOT_APPLICABLE] = amb
 
-        death_cls = {c: 0 for c in (1, 2, 3)}
+        death_cls = dict.fromkeys(_POSITIVE_CODES, 0)
         if spec.deaths_classification_sex is not None:
             for (code, s), n in spec.deaths_classification_sex.items():
                 if s is sex:
                     death_cls[code] += n
         deaths = sum(death_cls.values())
-        for c in (1, 2, 3):
+        for c in _POSITIVE_CODES:
             if death_cls[c] > cls[c]:
                 conflicts.append(
                     f"{sex.value}: class-{c} deaths {death_cls[c]} > class-{c} cases {cls[c]}"
@@ -323,10 +300,10 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
             dead = {f: spec.deaths_icu_sex.get((f, sex), 0) for f in CodedFlag}
             if spec.deaths_classification_sex is None:
                 deaths = sum(dead.values())
-                death_cls[3] = deaths
-                if death_cls[3] > cls[3]:
+                death_cls[_LAB] = deaths
+                if death_cls[_LAB] > cls[_LAB]:
                     conflicts.append(
-                        f"{sex.value}: deaths {deaths} > class-3 cases {cls[3]}"
+                        f"{sex.value}: deaths {deaths} > class-{_LAB} cases {cls[_LAB]}"
                     )
             elif sum(dead.values()) != deaths:
                 conflicts.append(
@@ -348,7 +325,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
                 f"{sex.value}: ambulatory deaths {dead[CodedFlag.NOT_APPLICABLE]}"
                 f" > ambulatory positives {amb}"
             )
-        for f in flags:
+        for f in _HOSPITAL_FLAGS:
             if dead[f] > tube[f]:
                 conflicts.append(
                     f"{sex.value}: deaths with flag {f.name.lower()} {dead[f]}"
@@ -360,59 +337,28 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
         total_amb += amb
         total_hosp += hosp
 
-        # Eight structural cells per sex: (treatment, flags, vital status).
-        # The registry flags are written identically for ICU and intubation.
-        def shape(flag: CodedFlag, death_flag: bool, count: int, profile: str):
-            if count <= 0:
-                return None
-            if flag is CodedFlag.NOT_APPLICABLE:
-                treatment, icu, tubed = 1, 97, 97
-            else:
-                treatment, icu, tubed = 2, flag.value, flag.value
-            return (treatment, icu, tubed, death_flag, count, profile)
-
-        death_shapes = [
-            shape(CodedFlag.NOT_APPLICABLE, True, dead[CodedFlag.NOT_APPLICABLE], "death"),
-            shape(CodedFlag.YES, True, dead[CodedFlag.YES], "severe_death"),
-            shape(CodedFlag.NO, True, dead[CodedFlag.NO], "death"),
-            shape(CodedFlag.IGNORED, True, dead[CodedFlag.IGNORED], "death"),
-            shape(CodedFlag.UNSPECIFIED, True, dead[CodedFlag.UNSPECIFIED], "death"),
-        ]
-        alive_shapes = [
-            shape(CodedFlag.NOT_APPLICABLE, False,
-                  amb - dead[CodedFlag.NOT_APPLICABLE], "default"),
-            shape(CodedFlag.YES, False, tube[CodedFlag.YES] - dead[CodedFlag.YES],
-                  "hospitalized"),
-            shape(CodedFlag.NO, False, tube[CodedFlag.NO] - dead[CodedFlag.NO],
-                  "hospitalized"),
-            shape(CodedFlag.IGNORED, False, tube[CodedFlag.IGNORED] - dead[CodedFlag.IGNORED],
-                  "hospitalized"),
-            shape(CodedFlag.UNSPECIFIED, False,
-                  tube[CodedFlag.UNSPECIFIED] - dead[CodedFlag.UNSPECIFIED], "hospitalized"),
-        ]
-        death_shapes = [s for s in death_shapes if s]
-        alive_shapes = [s for s in alive_shapes if s]
-
-        dead_amounts = [(c, death_cls[c]) for c in (1, 2, 3) if death_cls[c]]
-        alive_amounts = [
-            (c, cls[c] - death_cls.get(c, 0)) for c in (1, 2, 3)
-            if cls[c] - death_cls.get(c, 0)
-        ]
-        for shapes, amounts in ((death_shapes, dead_amounts), (alive_shapes, alive_amounts)):
-            split = _fill_in_order([s[4] for s in shapes], amounts)
-            for (treatment, icu, tubed, death_flag, _, profile), parts in zip(shapes, split):
+        # The dead, then the living: one cell per flag (the checks made tube[NOT_APPLICABLE]
+        # the ambulatory count), filled front to back by the positive classes.
+        alive = {f: tube[f] - dead[f] for f in CodedFlag}
+        alive_cls = {c: cls[c] - death_cls[c] for c in _POSITIVE_CODES}
+        for died, by_flag, by_class in ((True, dead, death_cls), (False, alive, alive_cls)):
+            flags = [f for f in _CELL_FLAGS if by_flag[f] > 0]
+            split = _fill_in_order([by_flag[f] for f in flags], [(c, n) for c, n in by_class.items() if n])
+            for flag, parts in zip(flags, split):
+                ambulatory = flag is CodedFlag.NOT_APPLICABLE
+                treatment = TreatmentStrategy.AMBULATORY if ambulatory else TreatmentStrategy.HOSPITALIZED
+                if died:
+                    profile = "severe_death" if flag is CodedFlag.YES else "death"
+                else:
+                    profile = "default" if ambulatory else "hospitalized"
                 for code, n in parts:
-                    cells.append((
-                        _EpiCell(code, sex, treatment, icu, tubed, death_flag, profile),
-                        n,
-                    ))
+                    cells.append((_EpiCell(code, sex, treatment, flag, died, profile), n))
 
-        for code in (4, 5, 6, 7):
-            if cls[code]:
-                cells.append((
-                    _EpiCell(code, sex, 1, 97, 97, False, "default"),
-                    cls[code],
-                ))
+        # The other classes: alive and ambulatory, after every positive cell.
+        cells.extend(
+            (_EpiCell(code, sex, TreatmentStrategy.AMBULATORY, CodedFlag.NOT_APPLICABLE, False, "default"), n)
+            for code, n in cls.items() if n and code not in _POSITIVE_CODES
+        )
 
     amb_quota = hosp_quota = None
     if spec.state_treatment is not None:
@@ -531,7 +477,8 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
     if amb_quota is not None:
         rng.shuffle(amb_quota)
         rng.shuffle(hosp_quota)
-        quota_next = {1: map(str, amb_quota).__next__, 2: map(str, hosp_quota).__next__}
+        quota_next = {TreatmentStrategy.AMBULATORY: map(str, amb_quota).__next__,
+                      TreatmentStrategy.HOSPITALIZED: map(str, hosp_quota).__next__}
 
     # Per cell: the source of the state (None draws it), the age range, the
     # flag probabilities and their top-byte table, and the fixed parts of
@@ -539,12 +486,12 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
     plans = []
     for cell, _ in cells:
         state_next = None
-        if amb_quota is not None and cell.classification <= 3:
+        if amb_quota is not None and is_positive(cell.classification):
             state_next = quota_next[cell.treatment]
         plans.append((
             state_next, *_PROFILE_AGE[cell.profile], cell.death, *_PROFILE_FLAGS[cell.profile],
             f",{_SEX_CODES[cell.sex]},",
-            f",1,{cell.treatment},{cell.icu},{cell.intubated},",
+            f",1,{cell.treatment:d},{cell.flag:d},{cell.flag:d},",
             f",{cell.classification},",
         ))
 
@@ -624,6 +571,15 @@ _AGE_SPANS = {
 _GISAID_SEX_OUT = {Sex.FEMALE: "Female", Sex.MALE: "Male", Sex.UNSPECIFIED: ""}
 
 
+def _spread(column: list, members: list[int], amounts: Iterable[tuple[object, int]]) -> None:
+    """Set ``column`` at ``members`` in consecutive runs, n members to each value."""
+    at = 0
+    for value, n in amounts:
+        for i in members[at:at + n]:
+            column[i] = value
+        at += n
+
+
 def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str],
                         cols: _GenomicColumns) -> None:
     """Append one block's samples to ``cols``; conflicts are appended, not raised."""
@@ -642,7 +598,6 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
     cols.vaccine.extend(repeat("", size))
 
     if block.status_clade is not None:
-        need = {clade: len(members) for clade, members in by_clade.items()}
         cursor = dict.fromkeys(by_clade, 0)
         for (status, clade), n in block.status_clade.items():
             members = by_clade.get(clade)
@@ -658,12 +613,10 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
             for i in members[at:at + n]:
                 cols.status[i] = status
             cursor[clade] = at + n
-            need[clade] -= n
-        for clade, remaining in sorted(need.items()):
-            if remaining:
+        for clade, at in sorted(cursor.items()):
+            if at != len(by_clade[clade]):
                 conflicts.append(
-                    f"{label}: statuses cover {len(by_clade[clade]) - remaining}"
-                    f" of {len(by_clade[clade])} clade-{clade} samples"
+                    f"{label}: statuses cover {at} of {len(by_clade[clade])} clade-{clade} samples"
                 )
 
     state_rows: dict[str, list[int]] = {}
@@ -720,21 +673,11 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                             f" sex table ({declared}) and age x sex table ({from_age})"
                         )
             if covered == len(members):
-                at = 0
-                for (group, sex), n in cells:
-                    age, sex_s = _AGE_SPANS[group], _GISAID_SEX_OUT[sex]
-                    for i in members[at:at + n]:
-                        cols.age[i] = age
-                        cols.sex[i] = sex_s
-                    at += n
+                _spread(cols.age, members, ((_AGE_SPANS[group], n) for (group, _), n in cells))
+                _spread(cols.sex, members, ((_GISAID_SEX_OUT[sex], n) for (_, sex), n in cells))
         elif block.state_sex is not None:
-            at = 0
-            for sex in Sex:
-                n = block.state_sex.get((state, sex), 0)
-                sex_s = _GISAID_SEX_OUT[sex]
-                for i in members[at:at + n]:
-                    cols.sex[i] = sex_s
-                at += n
+            _spread(cols.sex, members, ((_GISAID_SEX_OUT[sex], block.state_sex.get((state, sex), 0))
+                                        for sex in Sex))
         if block.state_vaccine is not None:
             doses = [(v, n) for (s, v), n in block.state_vaccine.items() if s == state]
             covered = sum(n for _, n in doses)
@@ -744,11 +687,7 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
                     f" samples {len(members)}"
                 )
             else:
-                at = 0
-                for vaccine, n in doses:
-                    for i in members[at:at + n]:
-                        cols.vaccine[i] = vaccine
-                    at += n
+                _spread(cols.vaccine, members, doses)
 
 
 def generate_genomic_fixture(spec: GenomicMarginalSpec, out=None) -> bytes | None:

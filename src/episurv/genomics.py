@@ -193,8 +193,9 @@ def load_catalog(source) -> VariantCatalog:
     Expected columns: who_label, category (VOC/VOI), clades (semicolon
     separated), pango_pattern, found as the readers find theirs (a BOM
     stripped, case ignored). The delimiter (tab or comma) is sniffed from the
-    header line. A row too short for those columns raises ValueError naming
-    its line.
+    header line. A bad row (too short for those columns, malformed CSV, an
+    unknown category, a bad pattern) raises ValueError naming its line; a
+    bad pattern keeps its class (EmptyPattern, MalformedSegment).
     """
     raw, owns = _open_source(source)
     try:
@@ -205,25 +206,31 @@ def load_catalog(source) -> VariantCatalog:
     lines = text.splitlines()
     if not lines:
         raise MissingRequiredColumn(list(_CATALOG_COLUMNS))
-    delimiter = "\t" if "\t" in lines[0] else ","
-    reader = csv.reader(lines, delimiter=delimiter)
-    idx = list(_resolve_header(next(reader), _CATALOG_COLUMNS).values())
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
+    try:
+        (_, header), *rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ValueError(f"catalog line {reader.line_num}: malformed CSV: {exc}") from None
+    idx = list(_resolve_header(header, _CATALOG_COLUMNS).values())
     variants = []
-    for row in reader:
+    for line, row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) <= max(idx):
-            raise ValueError(f"catalog line {reader.line_num}: {len(row)} field(s),"
+            raise ValueError(f"catalog line {line}: {len(row)} field(s),"
                              f" its columns need {max(idx) + 1}")
         label, category, clades, pattern = (row[i].strip() for i in idx)
-        variants.append(
-            VariantDefinition(
-                who_label=_canonical_label(label),
-                category=VariantCategory(category.upper()),
-                gisaid_clades=frozenset(c.strip() for c in clades.split(";") if c.strip()),
-                pango=parse_pattern(pattern),
+        try:
+            variants.append(
+                VariantDefinition(
+                    who_label=_canonical_label(label),
+                    category=VariantCategory(category.upper()),
+                    gisaid_clades=frozenset(c.strip() for c in clades.split(";") if c.strip()),
+                    pango=parse_pattern(pattern),
+                )
             )
-        )
+        except ValueError as exc:
+            raise type(exc)(f"catalog line {line}: {exc}") from None
     return VariantCatalog(variants=tuple(variants))
 
 

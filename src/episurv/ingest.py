@@ -76,6 +76,7 @@ from .schema import (
     CodedFlag,
     PatientRecord,
     SEX_CODES,
+    STATE_NAMES,
     Sex,
     TreatmentStrategy,
 )
@@ -117,18 +118,6 @@ SVEERV_COLUMNS = (
     "CLASIFICACION_FINAL",
     "FECHA_SINTOMAS",
 ) + tuple(COMORBIDITY_COLUMNS[name] for name in COMORBIDITY_FIELDS)
-
-GISAID_COLUMNS = (
-    "accession",
-    "date",
-    "division",
-    "pango_lineage",
-    "clade",
-    "patient_status",
-    "age",
-    "sex",
-    "vaccine",
-)
 
 # Common export spellings mapped onto the canonical metadata header.
 _GISAID_ALIASES = {
@@ -290,7 +279,7 @@ def _parse_date(raw: str, column: str) -> date:
 
 def _parse_state(raw: str) -> int:
     state = _parse_int(raw, "ENTIDAD_RES")
-    if not 1 <= state <= 32:
+    if state not in STATE_NAMES:
         raise _Reject("UnknownCode", f"ENTIDAD_RES={state}")
     return state
 
@@ -409,6 +398,9 @@ _GISAID_DECODERS = {
     "sex": ("sex", _parse_gisaid_sex),
     "vaccine": ("vaccine", _parse_vaccine),
 }
+
+# The canonical metadata header.
+GISAID_COLUMNS = tuple(column for column, _ in _GISAID_DECODERS.values())
 
 
 def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple], dict[int, tuple[str, str]]]:

@@ -433,16 +433,23 @@ class TestGenomicReport:
         assert main(["genomic-report", "-i", gisaid_file,
                      "--catalog", str(catalog)]) == 2
 
-    def test_a_short_catalog_row_is_one_error_line(self, gisaid_file, tmp_path):
+    @pytest.mark.parametrize("row, error", [
+        ("Homegrown,VOI", "2 field(s), its columns need 4"),
+        ("Homegrown,VOX,GK,B.1", "'VOX' is not a valid VariantCategory"),
+        ("Homegrown,VOI,GK,", "pattern '' has no alternatives"),
+        ("Homegrown,VOI,GK,B..1", "bad pattern alternative 'B..1' in 'B..1'"),
+        ("Homegrown,VOI,GK," + "B" * 140_000, "malformed CSV: field larger than field limit (131072)"),
+    ], ids=["short row", "unknown category", "empty pattern", "bad pattern", "oversized field"])
+    def test_a_short_catalog_row_is_one_error_line(self, gisaid_file, tmp_path, row, error):
         catalog = tmp_path / "catalog.csv"
-        catalog.write_text("who_label,category,clades,pango_pattern\nHomegrown,VOI\n")
+        catalog.write_text(f"who_label,category,clades,pango_pattern\n{row}\n")
         proc = subprocess.run(
             [sys.executable, "-m", "episurv.cli", "genomic-report", "-i", gisaid_file,
              "--catalog", str(catalog)],
             capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "episurv: error: catalog line 2: 2 field(s), its columns need 4\n"
+        assert proc.stderr == f"episurv: error: catalog line 2: {error}\n"
 
     def test_a_catalog_saved_with_a_bom_reads(self, gisaid_file, tmp_path, capsys):
         catalog = tmp_path / "catalog.csv"

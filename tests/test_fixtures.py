@@ -1,5 +1,7 @@
 import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +426,44 @@ class TestFromDict:
             ("Puebla", AgeGroup.UNKNOWN, F): 1,
         }
         assert spec.seed == 7
+
+    def test_too_many_age_counts_name_the_state_and_sex(self):
+        raw = {"blocks": {"Delta": {
+            "lineage_clade": {"AY.20": {"GK": 6}},
+            "state_clade": {"Puebla": {"GK": 6}},
+            "state_age_sex": {"Puebla": {"female": [1, 1, 1, 1, 1, 1]}},
+        }}}
+        with pytest.raises(ValueError, match=r"^state_age_sex Puebla/female: 6 counts for 5 age bins$"):
+            GenomicMarginalSpec.from_dict(raw)
+
+    def test_nested_tables_keep_the_file_order(self):
+        """Outer keys first, inner keys within each: plans follow this order."""
+        block = GenomicBlockSpec.from_dict({
+            "lineage_clade": {"B.1": {"GR": 1, "G": 2}, "AY.20": {"GK": 3}},
+            "state_clade": {"Sonora": {"GK": 1, "G": 1}, "Jalisco": {"GK": 2}},
+            "state_sex": {"Sonora": {"male": 1, "female": 1}},
+        })
+        assert list(block.lineage_clade) == [("B.1", "GR"), ("B.1", "G"), ("AY.20", "GK")]
+        assert list(block.state_clade) == [("Sonora", "GK"), ("Sonora", "G"), ("Jalisco", "GK")]
+        assert list(block.state_sex) == [("Sonora", M), ("Sonora", F)]
+
+
+def _preset_format_examples() -> list[dict]:
+    """The JSON blocks under "Preset file format" in docs/tables.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "tables.md").read_text("utf-8")
+    section = text.split("\n## Preset file format\n", 1)[1].split("\n## ", 1)[0]
+    return [json.loads(block.split("\n```", 1)[0]) for block in section.split("```json\n")[1:]]
+
+
+def test_the_preset_format_examples_generate():
+    examples = _preset_format_examples()
+    assert [raw.get("kind") for raw in examples] == [None, "gisaid"]
+    for raw in examples:
+        # The dispatch load_preset makes on a preset file's kind.
+        if raw.get("kind") == "gisaid":
+            spec = GenomicMarginalSpec.from_dict(raw)
+            rows = sum(n for block in spec.blocks.values() for n in block.lineage_clade.values())
+        else:
+            spec = EpiMarginalSpec.from_dict(raw)
+            rows = sum(spec.classification_sex.values())
+        assert generate_fixture(spec).count(b"\n") == rows + 1

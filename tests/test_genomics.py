@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -201,6 +202,18 @@ class TestLoadCatalog:
     def test_a_row_may_omit_columns_after_the_required_ones(self):
         text = "who_label,category,clades,pango_pattern,note\nAlpha,VOC,GRY,B.1.1.7\n"
         assert load_catalog(text.encode()).classify("B.1.1.7") == "Alpha"
+
+    @pytest.mark.parametrize("row, error", [
+        ("Alpha,VOX,GRY,B.1.1.7", ValueError),
+        ("Alpha,VOC,GRY,", EmptyPattern),
+        ("Alpha,VOC,GRY,B..7", MalformedSegment),
+        ("Alpha,VOC,GRY," + "B" * (csv.field_size_limit() + 1), ValueError),
+    ], ids=["unknown category", "empty pattern", "bad pattern", "oversized field"])
+    def test_a_bad_row_names_its_line_and_keeps_its_class(self, row, error):
+        text = f"who_label,category,clades,pango_pattern\nBeta,VOC,GH,B.1.351\n{row}\n"
+        with pytest.raises(error, match=r"^catalog line 3: ") as caught:
+            load_catalog(text.encode())
+        assert type(caught.value) is error
 
     def test_bad_pattern_propagates(self):
         text = "who_label,category,clades,pango_pattern\nAlpha,VOC,GRY,B..7\n"

@@ -148,10 +148,13 @@ def _open(args):
     """The stream of ``args.input``, of the kind the subcommand sets."""
     if args.kind == "gisaid":
         return ingest_gisaid(args.input, encoding=args.encoding)
-    return ingest_sveerv(args.input, delimiter=args.delimiter, encoding=args.encoding)
+    return ingest_sveerv(args.input, delimiter=args.delimiter or ",", encoding=args.encoding)
 
 
 def _cmd_validate(args) -> int:
+    if args.kind == "gisaid" and args.delimiter is not None:
+        return _usage_error(args.parser, "--delimiter applies only to --kind sveerv:"
+                                         " the metadata delimiter is sniffed")
     stream = _open(args)
     stream.count(())  # the batch path: only the counters are reported
     _write([validate_report(stream.stats).encode("utf-8")], args.out)
@@ -262,7 +265,7 @@ def _add_io(p: argparse.ArgumentParser, *, gisaid: bool = False, table: bool = T
     p.add_argument("--encoding", type=_encoding, default="utf-8",
                    help="input encoding (default utf-8; bad lines fall back to latin-1)")
     if not gisaid:
-        p.add_argument("--delimiter", type=_delimiter, default=",",
+        p.add_argument("--delimiter", type=_delimiter, default=None,
                        help="field delimiter, one character (default ,)")
 
 
@@ -322,7 +325,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("sveerv", "gisaid"), default="sveerv",
                    help="input flavor (default sveerv)")
     _add_io(p, table=False)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, parser=p)
 
     p = _add_table_command(sub, "epi-report", "render case-registry tables or stratified metrics",
                            default="metrics")

@@ -17,12 +17,13 @@ import json
 import random
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
+from enum import Enum
 from importlib import resources
 from itertools import product, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from .ingest import GISAID_COLUMNS, SVEERV_COLUMNS
 from .metrics import (
@@ -92,6 +93,26 @@ def _cells(table: dict | None, key=lambda outer, inner: (outer, inner)) -> dict 
     if table is None:
         return None
     return {key(outer, inner): int(n) for outer, cells in table.items() for inner, n in cells.items()}
+
+
+def _spelled(part) -> str:
+    """One part of a cell key as a spec file spells it."""
+    if isinstance(part, Enum):
+        return part.value if isinstance(part.value, str) else part.name.lower()
+    return str(part)
+
+
+def _negative_cells(spec) -> Iterator[str]:
+    """A conflict for each negative cell of the spec's tables, naming the
+    table and the cell; a ``state_treatment`` cell is a state and a
+    treatment."""
+    for table in fields(spec):
+        cells = getattr(spec, table.name)
+        for key, n in cells.items() if isinstance(cells, dict) else ():
+            split = zip(((key, t) for t in TreatmentStrategy), n) if isinstance(n, tuple) else [(key, n)]
+            for cell, count in split:
+                if count < 0:
+                    yield f"{table.name} {'/'.join(map(_spelled, cell))}: negative count {count}"
 
 
 @dataclass(frozen=True)
@@ -243,6 +264,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
     for code, _sex in spec.classification_sex:
         if code not in _CLASS_CODES:
             conflicts.append(f"classification code {code} outside {_CLASS_CODES[0]}-{_CLASS_CODES[-1]}")
+    conflicts.extend(_negative_cells(spec))
     if conflicts:
         raise InconsistentMarginals(conflicts)
 
@@ -582,7 +604,12 @@ def _spread(column: list, members: list[int], amounts: Iterable[tuple[object, in
 
 def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str],
                         cols: _GenomicColumns) -> None:
-    """Append one block's samples to ``cols``; conflicts are appended, not raised."""
+    """Append one block's samples to ``cols``; conflicts are appended, not raised.
+    A block with a negative cell is not planned."""
+    negative = [f"{label}: {conflict}" for conflict in _negative_cells(block)]
+    if negative:
+        conflicts.extend(negative)
+        return
     by_clade: dict[str, list[int]] = {}
     first = len(cols.lineage_clade)
     for (lineage, clade) in sorted(block.lineage_clade):

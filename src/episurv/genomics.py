@@ -12,7 +12,6 @@ A table takes records, or a GisaidStream, which it counts by the stream's
 batch-columnar fold (GisaidStream.count) without building a SampleRecord.
 """
 
-import csv
 import functools
 import unicodedata
 from collections import Counter
@@ -23,12 +22,11 @@ from typing import Iterable, Sequence
 from .ingest import (
     LINEAGE_RE,
     GisaidStream,
-    MissingRequiredColumn,
     SampleRecord,
     _count,
     _Dim,
-    _open_source,
-    _resolve_header,
+    _MalformedCSV,
+    _Stream,
 )
 from .metrics import AgeGroup, age_group
 from .schema import Sex
@@ -184,54 +182,56 @@ DEFAULT_CATALOG = VariantCatalog(
     )
 )
 
-_CATALOG_COLUMNS = ("who_label", "category", "clades", "pango_pattern")
+
+class _CatalogFile(_Stream):
+    """A catalog file's header, read as the metadata's is; its rows are
+    read by the stream batch reader (_Stream._rows)."""
+
+    _columns = ("who_label", "category", "clades", "pango_pattern")
 
 
 def load_catalog(source) -> VariantCatalog:
     """Load a catalog override from delimited text.
 
     Expected columns: who_label, category (VOC/VOI), clades (semicolon
-    separated), pango_pattern, found as the readers find theirs (a BOM
-    stripped, case ignored). The delimiter (tab or comma) is sniffed from the
-    header line. A bad row (too short for those columns, malformed CSV, an
-    unknown category, a bad pattern) raises ValueError naming its line; a
-    bad pattern keeps its class (EmptyPattern, MalformedSegment).
+    separated), pango_pattern. The file is read as the metadata is: UTF-8,
+    a line that is not valid UTF-8 read as latin-1, the delimiter (tab or
+    comma) sniffed from the first line, the columns found with a BOM
+    stripped and case ignored, and rows split as csv.reader splits them, so
+    a quoted cell may hold the delimiter or span lines. Rows that are blank
+    or hold only whitespace are skipped. A bad row (too short for those
+    columns, malformed CSV, an unknown category, a bad pattern) raises
+    ValueError naming the line the row starts on; a bad pattern keeps its
+    class (EmptyPattern, MalformedSegment).
     """
-    raw, owns = _open_source(source)
     try:
-        text = raw.read().decode("utf-8", errors="replace")
-    finally:
-        if owns:
-            raw.close()
-    lines = text.splitlines()
-    if not lines:
-        raise MissingRequiredColumn(list(_CATALOG_COLUMNS))
-    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
-    try:
-        (_, header), *rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise ValueError(f"catalog line {reader.line_num}: malformed CSV: {exc}") from None
-    idx = list(_resolve_header(header, _CATALOG_COLUMNS).values())
-    variants = []
-    for line, row in rows:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) <= max(idx):
-            raise ValueError(f"catalog line {line}: {len(row)} field(s),"
-                             f" its columns need {max(idx) + 1}")
-        label, category, clades, pattern = (row[i].strip() for i in idx)
+        catalog = _CatalogFile(source)
         try:
-            variants.append(
-                VariantDefinition(
-                    who_label=_canonical_label(label),
-                    category=VariantCategory(category.upper()),
-                    gisaid_clades=frozenset(c.strip() for c in clades.split(";") if c.strip()),
-                    pango=parse_pattern(pattern),
-                )
-            )
-        except ValueError as exc:
-            raise type(exc)(f"catalog line {line}: {exc}") from None
-    return VariantCatalog(variants=tuple(variants))
+            idx = list(catalog._cols.values())
+            batches = catalog._rows(catalog._raw, catalog.stats, catalog._line_offset)
+            return VariantCatalog(tuple(_definition(line, row, idx) for rows, starts in batches
+                                        for line, row in zip(starts, rows) if any(map(str.strip, row))))
+        finally:
+            if catalog._owns:
+                catalog._raw.close()
+    except _MalformedCSV as exc:
+        raise ValueError(f"catalog {exc}") from None
+
+
+def _definition(line: int, row: list[str], idx: list[int]) -> VariantDefinition:
+    """The catalog row starting on ``line``, its cells at ``idx``."""
+    if len(row) <= max(idx):
+        raise ValueError(f"catalog line {line}: {len(row)} field(s), its columns need {max(idx) + 1}")
+    label, category, clades, pattern = (row[i].strip() for i in idx)
+    try:
+        return VariantDefinition(
+            who_label=_canonical_label(label),
+            category=VariantCategory(category.upper()),
+            gisaid_clades=frozenset(c.strip() for c in clades.split(";") if c.strip()),
+            pango=parse_pattern(pattern),
+        )
+    except ValueError as exc:
+        raise type(exc)(f"catalog line {line}: {exc}") from None
 
 
 def classify_sample(sample: SampleRecord, catalog: VariantCatalog = DEFAULT_CATALOG) -> str | None:

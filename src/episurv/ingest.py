@@ -4,20 +4,31 @@ Both readers make a single pass over their source and never buffer the
 file. They read it through one batch loop: it reads BATCH_ROWS lines at a
 time, splits them into rows (see Splitting), transposes the rows into
 columns and checks each column that can reject through the batch's
-distinct raw values, with one decoder per column; each distinct raw value
-is decoded once per run. Every registry column can reject; of the genomic
-columns only the lineage can. A row is rejected as
-FieldCount when it is short, else with the reason of its first failing
+distinct raw values, with one decoder per column. Every registry column
+can reject; of the genomic columns only the lineage can. A row is rejected
+as FieldCount when it is short, else with the reason of its first failing
 column in check order. Iterating builds the records of a batch from its
 decoded columns and yields them in row order, each rejected row as a
 RowError in its place; ``count`` folds the accepted rows by the requested
-dimensions in C, without building a record. So both accept, reject and
-name reasons identically. A RowError's line number is the physical line
-its row starts on, so it stays right after quoted fields that span lines.
-The IngestStats advance once per batch and are final once the stream is
-read; their reasons are listed in the order the file first shows them.
-The tables in ``episurv.metrics`` and ``episurv.genomics`` roll a stream's
-or records' counts up in token space (see ``_count``).
+dimensions in C, without building a record. Both read a decoded value
+through one getter table: a checked column's from its check's cache, any
+other column's from its decoder. So each distinct raw value of a checked
+column is decoded once per run, and both accept, reject and name reasons
+identically. A RowError's line number is the physical line its row starts
+on, so it stays right after quoted fields that span lines. The IngestStats
+advance once per batch and are final once the stream is read; their
+reasons are listed in the order the file first shows them. The tables in
+``episurv.metrics`` and ``episurv.genomics`` roll a stream's or records'
+counts up in token space (see ``_count``); streams and records are counted
+by one token fold.
+
+Header: both readers, and the variant catalog
+(``episurv.genomics.load_catalog``), read their header in one way: the
+first row csv.reader gives for the file's lines, read a line at a time, so
+a quoted header cell may span lines. The registry's delimiter is given; the
+metadata's and the catalog's is sniffed from the first line, a tab if it
+holds one, else a comma. Column names are found with a BOM stripped, case
+ignored and spaces read as underscores.
 
 Integers: every coded and integer registry column (classification, patient
 type, sex, the yes/no flags, state, municipality and age) reads its value
@@ -51,7 +62,6 @@ malformed line keeps its whole-file number. Iteration is always serial.
 """
 
 import codecs
-import contextlib
 import csv
 import functools
 import io
@@ -448,19 +458,23 @@ def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple
 class _Tokens(dict):
     """One dimension of a count: raw value -> small-int token of its key.
 
-    A miss computes the key with ``key_of``, once per distinct raw value per
-    run. Keys are counted as tokens because hashing an int is cheaper than
-    hashing a Sex or AgeGroup; ``keys_by_token`` holds the keys in token order.
+    A miss computes the key by applying ``steps`` to the raw value in turn
+    (None steps left out), once per distinct raw value per run. Keys are
+    counted as tokens because hashing an int is cheaper than hashing a Sex or
+    AgeGroup; ``keys_by_token`` holds the keys in token order.
     """
 
-    def __init__(self, key_of: Callable[[str], object]):
+    def __init__(self, *steps: Callable | None):
         super().__init__()
-        self.key_of = key_of
+        self.steps = [step for step in steps if step is not None]
         self.keys_by_token: dict = {}  # key -> token, in token order
 
-    def __missing__(self, raw: str) -> int:
+    def __missing__(self, raw) -> int:
+        key = raw
+        for step in self.steps:
+            key = step(key)
         tokens = self.keys_by_token
-        token = self[raw] = tokens.setdefault(self.key_of(raw), len(tokens))
+        token = self[raw] = tokens.setdefault(key, len(tokens))
         return token
 
 
@@ -510,46 +524,80 @@ def _csv_batches(reader, line_no: int) -> Iterator[tuple[list[list[str]], list[i
 
 
 class _Stream:
-    """What both readers share: one batch loop (``_batches``) under both
-    iteration and the batch-columnar ``count``.
+    """What every delimited-file reader shares: one header reader
+    (``__init__``) and one batch loop (``_batches``) under both iteration
+    and the batch-columnar ``count``.
 
-    A reader sets ``stats``, ``_raw``, ``_owns``, ``_encoding``,
+    A reader's class names its required columns and their header aliases,
+    and may fix its delimiter; it maps each record field to its column and
+    decoder, names the fields whose decoder can reject in the order a row
+    checks them, and builds records from decoded columns keyed by field.
+    ``__init__`` sets ``stats``, ``_raw``, ``_owns``, ``_encoding``,
     ``_delimiter``, ``_cols`` (required column -> index) and
-    ``_line_offset`` (the header's physical lines). Its
-    class maps each record field to its column and decoder, names the
-    fields whose decoder can reject in the order a row checks them, and
-    builds records from decoded columns keyed by field.
+    ``_line_offset`` (the header's physical lines).
     """
 
+    _columns: tuple[str, ...]
+    _aliases: dict[str, str] | None = None
+    _delimiter: str | None = None  # None: sniffed from the first line
     _decoders: dict[str, tuple[str, Callable[[str], object]]]
     _checked: tuple[str, ...]
     _records: Callable[[dict[str, Iterator]], Iterator]
 
-    @contextlib.contextmanager
-    def _closed_on_error(self) -> Iterator[None]:
-        """Close a file this stream opened if the block raises (an unusable header)."""
+    def __init__(self, source: Source, *, encoding: str = "utf-8"):
+        """Open ``source`` and read its header: the first row csv.reader
+        splits, read a line at a time so that no data line is read before
+        the batch reader. A delimiter the reader does not fix is sniffed: a
+        tab if the first line holds one, else a comma. Raises _MalformedCSV
+        or MissingRequiredColumn, closing a file it opened."""
+        self.stats = IngestStats()
+        self._raw, self._owns = _open_source(source)
+        self._encoding = encoding
         try:
-            yield
+            lines = (line for batch in _line_batches(self._raw, self.stats, 1)
+                     for line in _decode_lines(batch, encoding))
+            first = next(lines, "")
+            if self._delimiter is None:
+                self._delimiter = "\t" if "\t" in first else ","
+            reader = csv.reader(chain([first], lines), delimiter=self._delimiter)
+            try:
+                header = next(reader, [])
+            except csv.Error as exc:
+                raise _MalformedCSV(reader.line_num, str(exc)) from None
+            self._cols = _resolve_header(header, self._columns, self._aliases)
         except BaseException:
             if self._owns:
                 self._raw.close()
             raise
+        self._line_offset = reader.line_num
+
+    def _decoding(self) -> tuple[list[tuple], dict[str, tuple[int, Callable[[str], object]]]]:
+        """The checks and the getter table of one pass.
+
+        The checks are, per field that can reject, in check order, what
+        _screen takes: its column index, decoder, and an empty cache and
+        rejected-value dict. The getter table gives per record field its
+        column index and the getter of its decoded value from a raw cell: a
+        checked field reads its check's cache, filled by _screen, so that
+        each distinct raw value is decoded once; any other is decoded cell by
+        cell, so that a column of values that grow with the rows (an
+        accession) holds no cache. Iteration and ``count`` both read it.
+        """
+        checks = [(self._cols[self._decoders[field][0]], self._decoders[field][1], {}, {})
+                  for field in self._checked]
+        caches = {field: cache for field, (_, _, cache, _) in zip(self._checked, checks)}
+        return checks, {field: (self._cols[column], caches[field].__getitem__ if field in caches else decoder)
+                        for field, (column, decoder) in self._decoders.items()}
 
     def __iter__(self) -> Iterator:
         """Records and RowErrors in row order, built batch by batch from the
         decoded columns; ``stats`` advances once per batch."""
-        checks = self._checks()
-        caches = {field: cache for field, (_, _, cache, _) in zip(self._checked, checks)}
-        # A checked column reads its decoded values from its check's cache;
-        # any other is decoded cell by cell, so that a column of values that
-        # grow with the rows (an accession) holds no cache.
-        getters = [(field, self._cols[column], caches[field].__getitem__ if field in caches else decoder)
-                   for field, (column, decoder) in self._decoders.items()]
+        checks, getters = self._decoding()
         try:
             for columns, rejects, starts in self._batches(self._raw, self.stats, checks, self._line_offset):
                 records = iter(())
                 if columns:
-                    records = self._records({field: map(get, columns[i]) for field, i, get in getters})
+                    records = self._records({field: map(get, columns[i]) for field, (i, get) in getters.items()})
                 done = 0  # rows of the batch yielded so far
                 for j, reject in rejects.items():
                     yield from islice(records, j - done)
@@ -599,28 +647,11 @@ class _Stream:
                 self._raw.close()
 
     def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], line_no: int = 0) -> tuple:
-        """``raw``'s accepted rows counted by ``dims`` in small-int tokens (see
-        _Tokens), and each dimension's keys in token order; ``line_no`` lines
-        precede ``raw``."""
-        keys = []  # per dimension: column index, tokens
-        for field, fn in dims:
-            column, decoder = self._decoders[field]
-            key_of = decoder if fn is None else (lambda raw, d=decoder, fn=fn: fn(d(raw)))
-            keys.append((self._cols[column], _Tokens(key_of)))
-        counts: Counter[tuple] = Counter()
-        for columns, _, _ in self._batches(raw, stats, self._checks(), line_no):
-            if columns and keys:
-                counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
-            elif columns:
-                counts[()] += len(columns[0])
-            del columns  # free this batch before reading the next
-        return counts, [list(tokens.keys_by_token) for _, tokens in keys]
-
-    def _checks(self) -> list[tuple]:
-        """Per field that can reject, in check order, what _screen takes:
-        its column index, decoder, and an empty cache and rejected-value dict."""
-        return [(self._cols[self._decoders[field][0]], self._decoders[field][1], {}, {})
-                for field in self._checked]
+        """``raw``'s accepted rows counted by ``dims`` (see _fold_tokens);
+        ``line_no`` lines precede ``raw``."""
+        checks, getters = self._decoding()
+        keys = [(getters[field][0], _Tokens(getters[field][1], fn)) for field, fn in dims]
+        return _fold_tokens(self._batches(raw, stats, checks, line_no), keys)
 
     def _batches(self, raw: BinaryIO, stats: IngestStats, checks: list, line_no: int) -> Iterator[tuple]:
         """The batch loop: each batch of rows from the batch reader (``_rows``)
@@ -706,64 +737,47 @@ class SveervStream(_Stream):
     is read once, by either.
     """
 
+    _columns = SVEERV_COLUMNS
     _decoders = {field: (column, decoder) for column, field, decoder in _COLUMN_DECODERS}
     _checked = tuple(_decoders)  # every column can reject
     _records = staticmethod(_patient_records)
 
     def __init__(self, source: Source, *, delimiter: str = ",", encoding: str = "utf-8"):
-        self.stats = IngestStats()
-        self._raw, self._owns = _open_source(source)
-        self._encoding, self._delimiter = encoding, delimiter
-        with self._closed_on_error():
-            # The header is the first row csv.reader splits, read a line at a
-            # time so that no data line is read before the batch reader.
-            lines = (line for batch in _line_batches(self._raw, self.stats, 1)
-                     for line in _decode_lines(batch, encoding))
-            reader = csv.reader(lines, delimiter=delimiter)
-            try:
-                header = next(reader, [])
-            except csv.Error as exc:
-                raise _MalformedCSV(reader.line_num, str(exc)) from None
-            self._cols = _resolve_header(header, SVEERV_COLUMNS)
-        self._line_offset = reader.line_num
+        self._delimiter = delimiter
+        super().__init__(source, encoding=encoding)
 
 
 class GisaidStream(_Stream):
     """Single-pass reader over genomic metadata (tab- or comma-separated).
 
-    The delimiter is sniffed from the header line. Only structural lineage
+    The delimiter is sniffed from the first line. Only structural lineage
     problems reject a row; other messy fields degrade to Unknown values.
     Iterating yields SampleRecord or RowError; ``count`` is the
     batch-columnar alternative, which checks only the lineage column.
     """
 
+    _columns = GISAID_COLUMNS
+    _aliases = _GISAID_ALIASES
     _decoders = _GISAID_DECODERS
     _checked = ("pango_lineage",)
     _records = staticmethod(lambda values: map(SampleRecord, *values.values()))
 
-    def __init__(self, source: Source, *, encoding: str = "utf-8"):
-        self.stats = IngestStats()
-        self._raw, self._owns = _open_source(source)
-        with self._closed_on_error():
-            header_line = "".join(_decode_lines(next(_line_batches(self._raw, self.stats, 1), []), encoding))
-            delimiter = "\t" if "\t" in header_line else ","
-            try:
-                header = next(csv.reader([header_line], delimiter=delimiter), [])
-            except csv.Error as exc:
-                raise _MalformedCSV(1, str(exc)) from None
-            self._cols = _resolve_header(header, GISAID_COLUMNS, _GISAID_ALIASES)
-        self._encoding, self._delimiter = encoding, delimiter
-        self._line_offset = 1  # the header line
 
-
-def _same(value):
-    return value
-
-
-def _field_getter(field: str) -> Callable[[object], object]:
-    if field in COMORBIDITY_FIELDS:
-        return lambda r: r.comorbidities.get(field)
-    return operator.attrgetter(field)
+def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]]) -> tuple:
+    """The token fold: the rows of ``batches`` counted by ``keys`` (per
+    dimension, the index of its column in a batch and its _Tokens) in
+    small-int tokens, and each dimension's keys in token order. A batch is a
+    tuple that starts with its columns, one sequence of cells per column,
+    the first holding a cell for every row; a batch without rows has none.
+    Each batch is freed before the next one is read."""
+    counts: Counter[tuple] = Counter()
+    for columns, *_ in batches:
+        if columns and keys:
+            counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
+        elif columns:
+            counts[()] += len(columns[0])
+        del columns, _
+    return counts, [list(tokens.keys_by_token) for _, tokens in keys]
 
 
 def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (), project=_decoded):
@@ -771,19 +785,17 @@ def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim
     ``dims`` in one pass and rolled up by ``project``: a sum over the token
     counts, given each dimension's keys in token order, that decodes only
     the keys it returns. A stream is counted by its batch-columnar fold;
-    records the same way, BATCH_ROWS at a time. The two agree."""
+    records by the same token fold, BATCH_ROWS at a time, a batch's first
+    column being its records and then one per dimension. The two agree."""
     project, dims = functools.partial(_rolled, len(where), project), (*where, *dims)
     if isinstance(items, _Stream):
         return items._rollup(dims, project)
-    keys = [(_field_getter(field), _Tokens(fn or _same)) for field, fn in dims]
-    counts: Counter[tuple] = Counter()
+    gets = [(lambda r, name=field: r.comorbidities.get(name)) if field in COMORBIDITY_FIELDS
+            else operator.attrgetter(field) for field, _ in dims]
     items = iter(items)
-    while batch := list(islice(items, BATCH_ROWS)):
-        if keys:
-            counts.update(zip(*(map(tokens.__getitem__, map(get, batch)) for get, tokens in keys)))
-        else:
-            counts[()] += len(batch)
-    return project(counts, [list(tokens.keys_by_token) for _, tokens in keys])
+    batches = (([batch, *(map(get, batch) for get in gets)],)
+               for batch in iter(lambda: list(islice(items, BATCH_ROWS)), []))
+    return project(*_fold_tokens(batches, [(i, _Tokens(fn)) for i, (_, fn) in enumerate(dims, 1)]))
 
 
 def ingest_sveerv(source: Source, *, delimiter: str = ",", encoding: str = "utf-8") -> SveervStream:

@@ -157,6 +157,15 @@ class TestValidate:
         assert captured.out == "" and captured.err.startswith("usage: ")
         assert "error: unrecognized arguments: " in captured.err
 
+    @pytest.mark.parametrize("delimiter", [";", "\t", ","])
+    def test_a_delimiter_for_gisaid_is_a_usage_error(self, delimiter, gisaid_file, capsys):
+        """The metadata delimiter is sniffed from the file's first line."""
+        assert main(["validate", "--kind", "gisaid", "-i", gisaid_file, "--delimiter", delimiter]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: episurv validate ")
+        assert captured.err.endswith("episurv validate: error: --delimiter applies only to --kind sveerv:"
+                                     " the metadata delimiter is sniffed\n")
+
     def test_out_file(self, epi_file, tmp_path, capsys):
         target = tmp_path / "report.txt"
         assert main(["validate", "-i", epi_file, "-o", str(target)]) == 0
@@ -450,6 +459,21 @@ class TestGenomicReport:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"episurv: error: catalog line 2: {error}\n"
+
+    def test_a_catalog_with_carriage_return_line_ends_is_one_error_line(self, gisaid_file, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(b"who_label,category,clades,pango_pattern\rHomegrown,VOI,GK,B.1.1.519\r")
+        assert main(["genomic-report", "-i", gisaid_file, "--catalog", str(catalog)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("episurv: error: catalog line 1: malformed CSV: ")
+        assert captured.err.count("\n") == 1
+
+    def test_a_catalog_cell_may_span_lines(self, gisaid_file, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(b'who_label,category,clades,pango_pattern\nHomegrown,VOI,"GK;\nGH",B.1.1.519\n')
+        assert main(["genomic-report", "-i", gisaid_file, "--catalog", str(catalog)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "Homegrown\t1\t100.00"
 
     def test_a_catalog_saved_with_a_bom_reads(self, gisaid_file, tmp_path, capsys):
         catalog = tmp_path / "catalog.csv"

@@ -113,6 +113,29 @@ class TestEpiConflicts:
         assert msgs == ["female: treatment total 2 != positives 5",
                         "male: treatment total 2 != positives 4"]
 
+    @pytest.mark.parametrize("overrides, conflicts", [
+        ({"classification_sex": {(1, F): 5, (2, F): 0, (7, F): -2, (7, M): 3}},
+         ["classification_sex 7/female: negative count -2"]),
+        ({"classification_sex": {(1, F): 4, (1, M): 3},
+          "treatment_sex": {(F, AMB): 7, (F, HOSP): -3, (M, HOSP): 3},
+          "state_treatment": {20: (7, 0)}},
+         ["treatment_sex female/hospitalized: negative count -3"]),
+        ({"treatment_sex": {(F, AMB): 5, (F, HOSP): 0}, "state_treatment": {20: (6, -1)},
+          "intubation_sex": {(CodedFlag.NOT_APPLICABLE, F): 5, (CodedFlag.NO, F): -1},
+          "deaths_classification_sex": {(3, F): -1},
+          "deaths_icu_sex": {(CodedFlag.YES, F): -1}},
+         ["state_treatment 20/hospitalized: negative count -1",
+          "intubation_sex no/female: negative count -1",
+          "deaths_classification_sex 3/female: negative count -1",
+          "deaths_icu_sex yes/female: negative count -1"]),
+    ], ids=["dropped class cell", "StopIteration", "every other table"])
+    def test_a_negative_cell_is_a_conflict_before_any_byte(self, overrides, conflicts, tmp_path):
+        out = tmp_path / "cases.csv"
+        with pytest.raises(InconsistentMarginals) as exc:
+            generate_epi_fixture(epi_spec(**overrides), out)
+        assert exc.value.conflicts == conflicts
+        assert not out.exists()
+
     def test_message_joins_conflicts(self):
         with pytest.raises(InconsistentMarginals) as exc:
             generate_epi_fixture(epi_spec(classification_sex={(0, F): 1, (8, F): 1}))
@@ -265,6 +288,31 @@ class TestGenomicConflicts:
             state_vaccine={("Puebla", "Pfizer"): 3},
         ))
         assert msgs == ["Delta/Puebla: vaccine doses 3 exceed state samples 2"]
+
+    def test_a_negative_cell_is_a_conflict_before_any_byte(self, tmp_path):
+        spec = GenomicMarginalSpec(blocks={
+            "Delta": GenomicBlockSpec(lineage_clade={("B.1.617.2", "G"): 4, ("AY.1", "G"): -2}),
+            "Alpha": GenomicBlockSpec(
+                lineage_clade={("B.1.1.7", "GRY"): 2},
+                status_clade={("Fallecido", "GRY"): -1},
+                state_clade={("Puebla", "GRY"): -1},
+                state_sex={("Puebla", M): -1},
+                state_vaccine={("Puebla", "Pfizer"): -1},
+                state_age_sex={("Puebla", AgeGroup.Y60_PLUS, F): -1},
+            ),
+        })
+        out = tmp_path / "meta.tsv"
+        with pytest.raises(InconsistentMarginals) as exc:
+            generate_genomic_fixture(spec, out)
+        assert exc.value.conflicts == [
+            "Delta: lineage_clade AY.1/G: negative count -2",
+            "Alpha: status_clade Fallecido/GRY: negative count -1",
+            "Alpha: state_clade Puebla/GRY: negative count -1",
+            "Alpha: state_sex Puebla/male: negative count -1",
+            "Alpha: state_vaccine Puebla/Pfizer: negative count -1",
+            "Alpha: state_age_sex Puebla/60+/female: negative count -1",
+        ]
+        assert not out.exists()
 
 
 class TestGenomicGeneration:

@@ -504,3 +504,30 @@ def test_unusable_header_closes_the_file(tmp_path, monkeypatch, kind, header):
         read(path)
     [(raw, owns)] = opened
     assert owns and raw.closed
+
+
+# --- one header reader, one getter table ------------------------------------------
+
+def test_a_gisaid_header_cell_may_span_lines():
+    data = gisaid_bytes(grow(), grow(pango_lineage=""), header=GHEAD + '\t"note\nsecond line"')
+    items = list(ingest_gisaid(data))
+    assert [s.pango_lineage for s in items[:1]] == ["AY.20"]
+    assert [(e.line_no, e.reason) for e in items[1:]] == [(4, "EmptyLineage")]
+    assert ingest_gisaid(data).count([("pango_lineage", None)]) == {("AY.20",): 1}
+
+
+@pytest.mark.parametrize("dims", [[("state_code", None)], [("sex", None), ("state_code", lambda code: code > 16)]],
+                         ids=["state", "sex and a function of the state"])
+def test_count_decodes_each_distinct_raw_value_once(annex_epi_path, monkeypatch, dims):
+    column, decoder = ingest.SveervStream._decoders["state_code"]
+    calls = Counter()
+
+    def counted(raw):
+        calls[raw] += 1
+        return decoder(raw)
+
+    monkeypatch.setitem(ingest.SveervStream._decoders, "state_code", (column, counted))
+    data = annex_epi_path.read_bytes()  # bytes are never sharded: every call is in this process
+    ingest_sveerv(data).count(dims)
+    assert len(calls) == 32
+    assert set(calls.values()) == {1}

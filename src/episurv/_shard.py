@@ -6,7 +6,6 @@ module sets the peak RSS of the small commands.
 """
 
 import io
-import operator
 import os
 from typing import Callable, Iterator, Sequence
 
@@ -83,16 +82,10 @@ def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) 
 
 
 def _merge(total: dict, part: dict) -> None:
-    """Add a later range's projection, a sum of counts or of tuples of
-    counts, into ``total``; a new key goes last, as in a whole-file pass."""
+    """Add a later range's projection, a sum of ints per key, into
+    ``total``; a new key goes last, as in a whole-file pass."""
     for key, value in part.items():
-        acc = total.get(key)
-        if acc is None:
-            total[key] = value
-        elif isinstance(acc, tuple):
-            total[key] = tuple(map(operator.add, acc, value))
-        else:
-            total[key] = acc + value
+        total[key] = total.get(key, 0) + value
 
 
 def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> tuple:

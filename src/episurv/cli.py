@@ -74,12 +74,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_usage_error(self, message))
 
 
+# The option types below raise argparse.ArgumentTypeError, whose message
+# argparse prints as it is: a ValueError would be reported under the name
+# of the function.
+
 def _int_list(text: str) -> frozenset[int]:
-    return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+    codes = set()
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            codes.add(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{tok.strip()!r} is not an integer code (expected comma-separated integers)") from None
+    return frozenset(codes)
 
 
 def _sex_list(text: str) -> frozenset[Sex]:
-    return frozenset(Sex(tok.strip().casefold()) for tok in text.split(",") if tok.strip())
+    sexes = set()
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            sexes.add(Sex(tok.strip().casefold()))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"unknown sex {tok.strip()!r} (expected {', '.join(sex.value for sex in Sex)})") from None
+    return frozenset(sexes)
+
+
+def _date(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a date (expected YYYY-MM-DD)") from None
 
 
 def _name_list(text: str) -> list[str]:
@@ -111,7 +136,8 @@ def _group_by(text: str) -> tuple[str, ...]:
         if not dim:
             continue
         if dim not in GROUP_DIMENSIONS:
-            raise ValueError(f"unknown dimension {tok.strip()!r}")
+            raise argparse.ArgumentTypeError(f"unknown dimension {tok.strip()!r} (expected "
+                                             f"{', '.join(d.replace('_', '-') for d in GROUP_DIMENSIONS)})")
         dims.append(dim)
     return tuple(dims)
 
@@ -279,9 +305,9 @@ def _add_registry_options(p: argparse.ArgumentParser) -> None:
                    help="comma-separated municipality codes to keep")
     p.add_argument("--sexes", type=_sex_list, default=None, metavar="NAMES",
                    help="comma-separated sexes to keep (female,male,unspecified)")
-    p.add_argument("--onset-from", type=date.fromisoformat, default=None,
+    p.add_argument("--onset-from", type=_date, default=None,
                    metavar="DATE", help="inclusive lower bound on symptom onset")
-    p.add_argument("--onset-to", type=date.fromisoformat, default=None,
+    p.add_argument("--onset-to", type=_date, default=None,
                    metavar="DATE", help="inclusive upper bound on symptom onset")
     p.add_argument("--severity-rule",
                    choices=tuple(c.value for c in SeverityCriterion),

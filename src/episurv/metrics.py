@@ -25,7 +25,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ingest import SveervStream, _count, _decoded, _Dim
@@ -392,26 +391,38 @@ def _tally(
 # What CaseCounts.add reads of a record: one cell of _CELL_DIMS.
 _Cell = namedtuple("_Cell", "classification treatment icu intubated death_date")
 
+# A stratum's CaseCounts sums packed into one int: field i of _COUNT_FIELDS
+# in bits [i * _LANE, (i + 1) * _LANE). A field sum counts records, so it
+# never reaches 2**_LANE and no lane carries into the next.
+_LANE = 64
+_LANE_MASK = (1 << _LANE) - 1
+_LANE_SHIFTS = tuple(range(0, _LANE * len(_COUNT_FIELDS), _LANE))
 
-def _cell_counts(cells: list[list], tokens: tuple) -> tuple[int, ...]:
-    """The CaseCounts fields, in _COUNT_FIELDS order, that one record of a
-    _CELL_DIMS cell adds, given its tokens and each cell dimension's keys."""
+
+def _cell_vector(cells: list[list], tokens: tuple) -> int:
+    """The CaseCounts fields, packed, that one record of a _CELL_DIMS cell
+    adds, given its tokens and each cell dimension's keys."""
     *cell, died = map(operator.getitem, cells, tokens)
     counts = CaseCounts()
     counts.add(_Cell(*cell, died or None))
-    return tuple(getattr(counts, name) for name in _COUNT_FIELDS)
+    return sum(getattr(counts, name) << shift for name, shift in zip(_COUNT_FIELDS, _LANE_SHIFTS))
 
 
-def _strata_sums(g: int, counts: dict[tuple, int], keys: list[list]) -> dict[tuple, tuple[int, ...]]:
+def _unpacked(packed: int) -> CaseCounts:
+    """The CaseCounts of a packed sum (see _LANE)."""
+    return CaseCounts(*[packed >> shift & _LANE_MASK for shift in _LANE_SHIFTS])
+
+
+def _strata_sums(g: int, counts: dict[tuple, int], keys: list[list]) -> dict[tuple, int]:
     """The roll-up of token counts keyed by ``g`` group dimensions and a
-    _CELL_DIMS cell to each group's CaseCounts field sums: a cell's fields are
-    found once per cell, and only the group keys are decoded."""
-    groups, cell_counts = keys[:g], functools.cache(functools.partial(_cell_counts, keys[g:]))
-    sums: dict[tuple, tuple[int, ...]] = {}
+    _CELL_DIMS cell to each group's packed CaseCounts sums (see _LANE): a
+    cell's vector is found once per cell, and only the group keys are
+    decoded."""
+    groups, vector = keys[:g], functools.cache(functools.partial(_cell_vector, keys[g:]))
+    sums: dict[tuple, int] = {}
     for key, n in counts.items():
-        add = map(operator.mul, cell_counts(key[g:]), repeat(n))
-        acc = sums.get(key[:g])
-        sums[key[:g]] = tuple(add) if acc is None else tuple(map(operator.add, acc, add))
+        group = key[:g]
+        sums[group] = sums.get(group, 0) + n * vector(key[g:])
     return {tuple(map(operator.getitem, groups, group)): acc for group, acc in sums.items()}
 
 
@@ -426,10 +437,11 @@ def stratified_report(
 
     ``group_by`` names dimensions from GROUP_DIMENSIONS. The result always
     contains the all-None key holding the whole-cohort report, computed as
-    the merge of the leaf strata. Each leaf's CaseCounts is a roll-up of one
-    count keyed by the group dimensions and the (classification, treatment,
-    icu, intubated, died) cell of each record; each leaf's sums are freed as
-    its report is built.
+    the merge of the leaf strata, last. Each leaf's CaseCounts is a roll-up
+    of one count keyed by the group dimensions and the (classification,
+    treatment, icu, intubated, died) cell of each record, held as one packed
+    int until its report is built. Every stratum has its own CaseCounts;
+    strata with equal counts share their rates, computed once.
     """
     unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
     if unknown:
@@ -437,15 +449,23 @@ def stratified_report(
     used = [name for name in GROUP_DIMENSIONS if name in group_by]
     sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
                   project=functools.partial(_strata_sums, len(used)))
+    # A leaf's StratumKey, positionally: its value on each used axis, None elsewhere.
+    place = operator.itemgetter(*[used.index(name) if name in used else len(used) for name in GROUP_DIMENSIONS])
     out: dict[StratumKey, MetricsReport] = {}
-    national = (0,) * len(_COUNT_FIELDS)  # the merge of the leaves
+    reports: dict[int, MetricsReport] = {}  # packed sums -> the first report of those counts
+    national = 0  # the merge of the leaves
     for leaf in list(sums):
-        acc = sums.pop(leaf)
-        national = tuple(map(operator.add, national, acc))
-        key = StratumKey(**dict(zip(used, leaf)))
+        packed = sums.pop(leaf)
+        national += packed
+        key = StratumKey._make(place((*leaf, None)))
         if key != StratumKey():
-            out[key] = build_report(CaseCounts(*acc), criterion, positivity)
-    out[StratumKey()] = build_report(CaseCounts(*national), criterion, positivity)
+            counts, first = _unpacked(packed), reports.get(packed)
+            if first is None:
+                out[key] = reports[packed] = build_report(counts, criterion, positivity)
+            else:
+                out[key] = MetricsReport(counts, first.fatality_pct, first.positivity_pct,
+                                         first.tgi1_pct, first.tgi2_pct, first.tgi3_pct)
+    out[StratumKey()] = build_report(_unpacked(national), criterion, positivity)
     return out
 
 

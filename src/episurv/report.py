@@ -11,6 +11,7 @@ at a time (the metrics rows, too, are built as they are rendered);
 ``render`` joins them.
 """
 
+import re
 from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -18,7 +19,7 @@ from functools import lru_cache, partial
 from itertools import islice
 from json import JSONEncoder
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
 from .metrics import (GROUP_DIMENSIONS, AgeGroup, CaseCounts, MetricsReport, RankMetric,
@@ -310,6 +311,21 @@ def _text_cells(row: tuple) -> list[str]:
             for cell in row]
 
 
+def _escaper(escapes: dict[str, str]) -> Callable[[list[str]], list[str]]:
+    """Text cells with each character of ``escapes`` written as its escape;
+    a row holding none of them is returned as it is."""
+    table, found = str.maketrans(escapes), re.compile("[" + re.escape("".join(escapes)) + "]").search
+    return lambda cells: [cell.translate(table) for cell in cells] if found("".join(cells)) else cells
+
+
+# A tab or a line break in a text cell would split its tsv or markdown row,
+# and a "|" its markdown row: each is written as a backslash escape, and so
+# is the backslash itself. JSON escapes its own strings.
+_TSV_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_escape_tsv = _escaper(_TSV_ESCAPES)
+_escape_markdown = _escaper({**_TSV_ESCAPES, "|": "\\|"})
+
+
 def _json_cells(row: tuple) -> list:
     return [float(format_pct(cell)) if type(cell) is _Pct else cell for cell in row]
 
@@ -356,13 +372,13 @@ def _chunks(cols: tuple[str, ...], rows: Iterator[tuple], trailers: list[str], f
         yield b"]\n"
         return
     if fmt == "markdown":
-        line = lambda cells: "| " + " | ".join(cells) + " |"
+        line, escape = (lambda cells: "| " + " | ".join(cells) + " |"), _escape_markdown
         yield _lines([line(cols), line("---" for _ in cols)])
     else:
-        line = "\t".join
+        line, escape = "\t".join, _escape_tsv
         yield _lines([line(cols)])
     while batch := list(islice(rows, _CHUNK_ROWS)):
-        yield _lines([line(_text_cells(row)) for row in batch])
+        yield _lines([line(escape(_text_cells(row))) for row in batch])
     if trailers:
         yield _lines(trailers)
 

@@ -86,6 +86,29 @@ class TestUsageErrors:
         assert captured.out == "" and captured.err.startswith("usage: ")
         assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--states", "20,a"],
+         "argument --states: 'a' is not an integer code (expected comma-separated integers)"),
+        (["--municipalities", " x "],
+         "argument --municipalities: 'x' is not an integer code (expected comma-separated integers)"),
+        (["--sexes", "female,x"],
+         "argument --sexes: unknown sex 'x' (expected female, male, unspecified)"),
+        (["--onset-from", "2021-13-01"],
+         "argument --onset-from: '2021-13-01' is not a date (expected YYYY-MM-DD)"),
+        (["--onset-to", "soon"],
+         "argument --onset-to: 'soon' is not a date (expected YYYY-MM-DD)"),
+        (["--group-by", "state,foo"],
+         "argument --group-by: unknown dimension 'foo' (expected state, municipality, sex, age-group)"),
+    ], ids=["states", "municipalities", "sexes", "onset-from", "onset-to", "group-by"])
+    def test_a_bad_option_value_is_named_with_the_accepted_values(self, argv, error, epi_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["epi-report", "-i", epi_file, *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == \
+            ["episurv epi-report: error: " + error]
+
     @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
                                       ["validate", "--encoding", "utf-8-sig"],
                                       ["epi-report", "--encoding", "latin-1", "--delimiter", ","]])
@@ -424,6 +447,29 @@ class TestGenomicReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "Homegrown\t1\t100.00"
         assert lines[2] == "unclassified\t3\tNA"
+
+    @pytest.mark.parametrize("fmt", ["tsv", "markdown"])
+    def test_a_cell_holding_a_separator_or_a_line_break_keeps_its_row(self, fmt, tmp_path, capsys):
+        path = tmp_path / "meta.tsv"
+        path.write_bytes(gisaid_bytes(
+            grow(accession="EPI_ISL_1", patient_status='"Hospital|ized\tnow"', clade="G|X"),
+            grow(accession="EPI_ISL_2", patient_status='"two\nlines"'),
+            grow(accession="EPI_ISL_3", patient_status="back\\slash"),
+        ))
+        out = {}
+        for table in ("t8", "t9"):
+            assert main(["genomic-report", "-i", str(path), "--table", table, "-f", fmt]) == 0
+            out[table] = capsys.readouterr().out.splitlines()
+        if fmt == "tsv":
+            assert out["t9"][1:] == ["Hospital|ized\\tnow\tunknown\tG|X\t1",
+                                     "back\\\\slash\tunknown\tGK\t1",
+                                     "two\\nlines\tunknown\tGK\t1"]
+            assert out["t8"][1:] == ["Delta\tAY.20\tGK\t2", "Delta\tAY.20\tG|X\t1"]
+        else:
+            assert out["t9"][2:] == ["| Hospital\\|ized\\tnow | unknown | G\\|X | 1 |",
+                                     "| back\\\\slash | unknown | GK | 1 |",
+                                     "| two\\nlines | unknown | GK | 1 |"]
+            assert out["t8"][2:] == ["| Delta | AY.20 | GK | 2 |", "| Delta | AY.20 | G\\|X | 1 |"]
 
     @pytest.mark.parametrize("argv", [["validate", "--kind", "gisaid"], ["genomic-report"]])
     def test_overflowing_age_is_not_a_crash(self, argv, tmp_path):

@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import random
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from episurv.fixtures import random_patient_records
+from episurv.fixtures import random_patient_records, write_sveerv_csv
+from episurv.ingest import SVEERV_COLUMNS, ingest_sveerv
 from episurv.metrics import (
+    GROUP_DIMENSIONS,
     AgeGroup,
     CaseCounts,
     CohortFilter,
@@ -30,6 +34,7 @@ from episurv.metrics import (
     stratified_report,
     treatment_sex_tally,
 )
+from episurv.metrics import _strata_sums, _unpacked
 from episurv.schema import (
     CaseClassification,
     CodedFlag,
@@ -38,6 +43,7 @@ from episurv.schema import (
 )
 
 from test_schema import make_record
+from test_sharding import _shards
 
 
 def counts_of(*records) -> CaseCounts:
@@ -212,6 +218,75 @@ def test_stratified_report_national_equals_leaf_merge():
             folded = merge(folded, rep.counts)
     assert folded == national.counts
     assert national.counts.total == 300
+
+
+# Each stratum axis as a function of a record, for the per-record oracle.
+_AXES = {
+    "state": lambda r: r.state_code,
+    "municipality": lambda r: r.municipality_code,
+    "sex": lambda r: r.sex,
+    "age_group": lambda r: age_group(r.age_years),
+}
+_GROUP_BYS = [dims for k in range(1, len(GROUP_DIMENSIONS) + 1)
+              for dims in itertools.combinations(GROUP_DIMENSIONS, k)]
+# Cells that make a registry row rejected.
+_REJECTS = [(SVEERV_COLUMNS.index("SEXO"), "abc"), (SVEERV_COLUMNS.index("FECHA_DEF"), "2020-13-01"),
+            (SVEERV_COLUMNS.index("ENTIDAD_RES"), "x")]
+
+
+@pytest.mark.parametrize("jobs", (1, 2, 3))
+@pytest.mark.parametrize("criterion", SeverityCriterion)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       rejects=st.dictionaries(st.integers(0, 59), st.sampled_from(_REJECTS), max_size=8))
+def test_each_stratum_equals_a_per_record_fold(tmp_path_factory, jobs, criterion, seed, n, rejects):
+    """Every stratum of a sharded file's report, under every grouping and
+    positivity mode, holds the CaseCounts.add fold of its own records, its
+    own CaseCounts object, and build_report of those counts."""
+    records = random_patient_records(seed, n)
+    lines = write_sveerv_csv(records).decode("utf-8").splitlines()
+    for i, (col, value) in rejects.items():
+        if i < n:
+            cells = lines[1 + i].split(",")
+            cells[col] = value
+            lines[1 + i] = ",".join(cells)
+    path = tmp_path_factory.mktemp("strata") / "cases.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    accepted = [r for i, r in enumerate(records) if i not in rejects]
+    for group_by, positivity in itertools.product(_GROUP_BYS, PositivityMode):
+        expected = {}
+        for r in accepted:
+            expected.setdefault(StratumKey(**{dim: _AXES[dim](r) for dim in group_by}), CaseCounts()).add(r)
+        expected[StratumKey()] = counts_of(*accepted)
+        with _shards(jobs):
+            reports = stratified_report(ingest_sveerv(path), group_by=group_by,
+                                        criterion=criterion, positivity=positivity)
+        assert list(reports)[-1] == StratumKey()
+        assert {key: report.counts for key, report in reports.items()} == expected
+        assert all(report == build_report(expected[key], criterion, positivity)
+                   for key, report in reports.items())
+        assert len({id(report.counts) for report in reports.values()}) == len(reports)
+
+
+def test_packed_sums_are_exact_with_no_carry_between_lanes():
+    """The strata roll-up holds each stratum's CaseCounts sums in one int,
+    one 64-bit lane per field: sums just under 2**64 unpack exactly, and a
+    full lane carries nothing into its neighbour."""
+    died = make_record(treatment=TreatmentStrategy.HOSPITALIZED, icu=CodedFlag.YES,
+                       intubated=CodedFlag.YES, death_date=date(2021, 8, 1))
+    negative = make_record(classification=CaseClassification.NEGATIVE)
+    # Keys per dimension: the group's, then each cell dimension's; token i is record i's cell.
+    cells = [(r.classification, r.treatment, r.icu, r.intubated, r.death_date is not None)
+             for r in (died, negative)]
+    keys = [["a", "b"], *map(list, zip(*cells))]
+    big, other, full = 2**63 + 5, 2**63 - 7, 2**64 - 1
+    sums = _strata_sums(1, {(0, 0, 0, 0, 0, 0): big, (0, 1, 1, 1, 1, 1): other,
+                            (1, 0, 0, 0, 0, 0): full}, keys)
+    assert list(sums) == [("a",), ("b",)]
+    one_died, one_negative = dataclasses.astuple(counts_of(died)), dataclasses.astuple(counts_of(negative))
+    assert _unpacked(sums["a",]) == CaseCounts(*[big * x + other * y for x, y in zip(one_died, one_negative)])
+    assert _unpacked(sums["b",]) == CaseCounts(*[full * x for x in one_died])
+    assert _unpacked(sums["a",]).total == 2**64 - 2 and _unpacked(sums["b",]).negative == 0
 
 
 def test_stratified_report_age_group_dimension():

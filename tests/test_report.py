@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
@@ -143,6 +144,40 @@ class TestGenomicTables:
             "Hospitalizado\tsevere\tGK\t3",
             "raro\tunknown\tGK\t1",
         ]
+
+    def test_text_cells_escape_separators_and_line_breaks(self):
+        data = {("Hospital|ized\tnow", "G|X"): 1, ("two\nlines\r", "GK"): 2, ("back\\slash", "GK"): 3}
+        assert render(TableId.T9, data, "tsv").decode().split("\n")[1:] == [
+            "Hospital|ized\\tnow\tunknown\tG|X\t1",
+            "back\\\\slash\tunknown\tGK\t3",
+            "two\\nlines\\r\tunknown\tGK\t2",
+            "",
+        ]
+        assert render(TableId.T9, data, "markdown").decode().split("\n")[2:] == [
+            "| Hospital\\|ized\\tnow | unknown | G\\|X | 1 |",
+            "| back\\\\slash | unknown | GK | 3 |",
+            "| two\\nlines\\r | unknown | GK | 2 |",
+            "",
+        ]
+        assert [(row["patient_status"], row["clade"]) for row in json.loads(render(TableId.T9, data, "json"))] \
+            == [("Hospital|ized\tnow", "G|X"), ("back\\slash", "GK"), ("two\nlines\r", "GK")]
+
+    @given(st.dictionaries(st.tuples(st.text(max_size=6), st.text(max_size=6)), st.integers(0, 9), max_size=5))
+    def test_every_text_row_is_one_line_of_its_cells(self, data):
+        """Each row is one line whose cells, with the escapes undone, are the
+        row's json values."""
+        rows = [list(map(str, row.values())) for row in json.loads(render(TableId.T9, data, "json"))]
+        unescape = {"t": "\t", "n": "\n", "r": "\r"}
+        for fmt, head in (("tsv", 1), ("markdown", 2)):
+            lines = render(TableId.T9, data, fmt).decode().split("\n")
+            assert lines.pop() == "" and len(lines) == head + len(rows)
+            for line, row in zip(lines[head:], rows):
+                if fmt == "tsv":
+                    cells = line.split("\t")
+                else:
+                    assert line.startswith("| ") and line.endswith(" |")
+                    cells = line[2:-2].split(" | ")  # every "|" in a cell follows a backslash
+                assert [re.sub(r"\\(.)", lambda m: unescape.get(m[1], m[1]), cell) for cell in cells] == row
 
     def test_g3_catalog_order_plus_unclassified(self):
         shares = VariantShares(shares={"Alpha": (1, 17.525)}, classified=1, unclassified=2)

@@ -52,7 +52,7 @@ from .metrics import (
     treatment_sex_tally,
 )
 from .report import ShapeMismatch, TableId, format_pct, render_chunks
-from .schema import Sex
+from .schema import STATE_NAMES, Sex
 
 __all__ = ["main"]
 
@@ -78,26 +78,42 @@ class _Parser(argparse.ArgumentParser):
 # argparse prints as it is: a ValueError would be reported under the name
 # of the function.
 
-def _int_list(text: str) -> frozenset[int]:
-    codes = set()
-    for tok in filter(str.strip, text.split(",")):
-        try:
-            codes.add(int(tok))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{tok.strip()!r} is not an integer code (expected comma-separated integers)") from None
-    return frozenset(codes)
+def _list_of(decode: Callable[[str], object], error: str, collect: Callable = frozenset):
+    """The type of a comma-list option: its non-blank tokens, stripped, each
+    decoded by ``decode`` and the values collected by ``collect``. No tokens
+    parse to None, which means no filter. A token that ``decode`` refuses
+    with ValueError or KeyError is reported as ``error`` formatted with the
+    token's repr; a decoder with a message of its own raises
+    ArgumentTypeError."""
+    def parse(text: str):
+        values = []
+        for tok in filter(None, map(str.strip, text.split(","))):
+            try:
+                values.append(decode(tok))
+            except (KeyError, ValueError):
+                raise argparse.ArgumentTypeError(error.format(tok)) from None
+        return collect(values) if values else None
+    return parse
 
 
-def _sex_list(text: str) -> frozenset[Sex]:
-    sexes = set()
-    for tok in filter(str.strip, text.split(",")):
-        try:
-            sexes.add(Sex(tok.strip().casefold()))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"unknown sex {tok.strip()!r} (expected {', '.join(sex.value for sex in Sex)})") from None
-    return frozenset(sexes)
+def _state_code(tok: str) -> int:
+    code = int(tok)
+    if code not in STATE_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"{tok!r} is not a state code (expected {min(STATE_NAMES)}-{max(STATE_NAMES)})")
+    return code
+
+
+_NOT_AN_INTEGER = "{!r} is not an integer code (expected comma-separated integers)"
+_DIMENSIONS = {dim.replace("_", "-"): dim for dim in GROUP_DIMENSIONS}  # as --group-by spells them
+
+_state_codes = _list_of(_state_code, _NOT_AN_INTEGER)
+_municipality_codes = _list_of(int, _NOT_AN_INTEGER)
+_sexes = _list_of(lambda tok: Sex(tok.casefold()),
+                  f"unknown sex {{!r}} (expected {', '.join(sex.value for sex in Sex)})")
+_dimensions = _list_of(lambda tok: _DIMENSIONS[tok.casefold().replace("_", "-")],
+                       f"unknown dimension {{!r}} (expected {', '.join(_DIMENSIONS)})", tuple)
+_names = _list_of(str, "", list)
 
 
 def _date(text: str) -> date:
@@ -105,10 +121,6 @@ def _date(text: str) -> date:
         return date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a date (expected YYYY-MM-DD)") from None
-
-
-def _name_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _encoding(text: str) -> str:
@@ -129,33 +141,11 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _group_by(text: str) -> tuple[str, ...]:
-    dims = []
-    for tok in text.split(","):
-        dim = tok.strip().casefold().replace("-", "_")
-        if not dim:
-            continue
-        if dim not in GROUP_DIMENSIONS:
-            raise argparse.ArgumentTypeError(f"unknown dimension {tok.strip()!r} (expected "
-                                             f"{', '.join(d.replace('_', '-') for d in GROUP_DIMENSIONS)})")
-        dims.append(dim)
-    return tuple(dims)
-
-
-def _cohort_from(args) -> CohortFilter | None:
+def _cohort_from(args) -> CohortFilter:
     onset = None
     if args.onset_from is not None or args.onset_to is not None:
         onset = (args.onset_from or date.min, args.onset_to or date.max)
-    if not (args.indigenous_only or args.states or args.municipalities
-            or args.sexes or onset):
-        return None
-    return CohortFilter(
-        indigenous_only=args.indigenous_only,
-        states=args.states,
-        municipalities=args.municipalities,
-        sexes=args.sexes,
-        onset_range=onset,
-    )
+    return CohortFilter(args.indigenous_only, args.states, args.municipalities, args.sexes, onset)
 
 
 def _write(chunks: Iterable[bytes], out: str | None) -> None:
@@ -192,13 +182,13 @@ def _tally(tally):
 
 
 def _strata(stream, args) -> dict[StratumKey, MetricsReport]:
-    return stratified_report(stream, _cohort_from(args), args.group_by,
+    return stratified_report(stream, _cohort_from(args), args.group_by or (),
                              SeverityCriterion(args.severity_rule),
                              PositivityMode(args.positivity))
 
 
 def _summary(stream, args):
-    return state_summary(stream, args.catalog, args.label, args.states)
+    return state_summary(stream, args.catalog, args.label, args.states or ())
 
 
 # Every table, with the subcommand that renders it and what computes its data
@@ -299,11 +289,11 @@ def _add_registry_options(p: argparse.ArgumentParser) -> None:
     """The cohort filters and the metric settings of a registry table."""
     p.add_argument("--indigenous-only", action="store_true",
                    help="keep only records whose indigenous-language flag is yes")
-    p.add_argument("--states", type=_int_list, default=None, metavar="CODES",
+    p.add_argument("--states", type=_state_codes, default=None, metavar="CODES",
                    help="comma-separated state codes to keep (e.g. 20,21,30)")
-    p.add_argument("--municipalities", type=_int_list, default=None, metavar="CODES",
+    p.add_argument("--municipalities", type=_municipality_codes, default=None, metavar="CODES",
                    help="comma-separated municipality codes to keep")
-    p.add_argument("--sexes", type=_sex_list, default=None, metavar="NAMES",
+    p.add_argument("--sexes", type=_sexes, default=None, metavar="NAMES",
                    help="comma-separated sexes to keep (female,male,unspecified)")
     p.add_argument("--onset-from", type=_date, default=None,
                    metavar="DATE", help="inclusive lower bound on symptom onset")
@@ -355,9 +345,8 @@ def _build_parser() -> _Parser:
 
     p = _add_table_command(sub, "epi-report", "render case-registry tables or stratified metrics",
                            default="metrics")
-    p.add_argument("--group-by", type=_group_by, default=(), metavar="DIMS",
-                   help="metrics table strata: comma list of "
-                        + ",".join(d.replace("_", "-") for d in GROUP_DIMENSIONS))
+    p.add_argument("--group-by", type=_dimensions, default=(), metavar="DIMS",
+                   help="metrics table strata: comma list of " + ",".join(_DIMENSIONS))
     p.add_argument("--subcohort", choices=tuple(s.value for s in Subcohort),
                    default=Subcohort.DEATHS_ICU_INTUBATED.value,
                    help="rows counted by the comorbidity profile")
@@ -366,7 +355,7 @@ def _build_parser() -> _Parser:
                            kind="gisaid", default="g3-shares")
     p.add_argument("--label", default="Delta",
                    help="variant label for t9-t13 (default Delta)")
-    p.add_argument("--states", type=_name_list,
+    p.add_argument("--states", type=_names,
                    default=["Puebla", "Hidalgo", "Veracruz", "Oaxaca"],
                    metavar="NAMES", help="state names for t10-t13, comma-separated")
     p.add_argument("--catalog", default=None,

@@ -26,19 +26,17 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Union
 
 from .ingest import GISAID_COLUMNS, SVEERV_COLUMNS
-from .metrics import (
-    AgeGroup,
-    CaseCounts,
-    PositivityMode,
-    SeverityCriterion,
-)
+from .metrics import CaseCounts, PositivityMode, SeverityCriterion
 from .schema import (
+    AGE_FLOORS,
     ALIVE_SENTINEL,
     COMORBIDITY_FIELDS,
     CaseClassification,
     CodedFlag,
     PatientRecord,
     SEX_CODES,
+    STATE_NAMES,
+    AgeGroup,
     Sex,
     TreatmentStrategy,
     is_positive,
@@ -518,6 +516,7 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
         ))
 
     num, dates, window, flag_str = _NUM_STR, _DATE_STR, _WINDOW_DAYS, _FLAG_STR.get
+    n_states = len(STATE_NAMES)
     draw, getrandbits = rng.random, rng.getrandbits
     stream, owns = _open_out(out)
     try:
@@ -529,7 +528,7 @@ def generate_epi_fixture(spec: EpiMarginalSpec, out=None) -> bytes | None:
                  sex_s, care_s, class_s) = plans[cell_idx]
                 # Draw order: state unless it has a quota, age, onset, the
                 # death day if dead, the flags, then the municipality.
-                state = num[int(draw() * 32) + 1] if state_next is None else state_next()
+                state = num[int(draw() * n_states) + 1] if state_next is None else state_next()
                 age = num[int(draw() * age_span) + age_lo]
                 onset = int(draw() * window)
                 death_s = dates[onset + 1 + int(draw() * 59)] if death else ALIVE_SENTINEL
@@ -581,14 +580,13 @@ _FILLER_DIVISIONS = (
     "Tamaulipas", "Baja California", "Chiapas",
 )
 
-_ANY_AGE = (0, 96)
-_AGE_SPANS = {
-    AgeGroup.Y0_20: (0, 21),
-    AgeGroup.Y21_40: (21, 20),
-    AgeGroup.Y41_59: (41, 19),
-    AgeGroup.Y60_PLUS: (60, 36),
-    AgeGroup.UNKNOWN: None,
-}
+# A sample's age, as (low, span) for int(random()*span)+low: any age up to
+# the ceiling, or any age of one group. An UNKNOWN sample has no age.
+_AGE_CEILING = 95
+_ANY_AGE = (0, _AGE_CEILING + 1)
+_AGE_SPANS = {group: (low, high - low) for group, low, high
+              in zip(AgeGroup, AGE_FLOORS, (*AGE_FLOORS[1:], _AGE_CEILING + 1))}
+_AGE_SPANS[AgeGroup.UNKNOWN] = None
 
 _GISAID_SEX_OUT = {Sex.FEMALE: "Female", Sex.MALE: "Male", Sex.UNSPECIFIED: ""}
 

@@ -28,8 +28,7 @@ from .ingest import (
     _MalformedCSV,
     _Stream,
 )
-from .metrics import AgeGroup, age_group
-from .schema import Sex
+from .schema import AgeGroup, Sex, age_group
 
 __all__ = [
     "EmptyPattern",
@@ -158,27 +157,22 @@ class VariantCatalog:
         return None
 
 
-def _voc(label: str, clades: str, pattern: str) -> VariantDefinition:
-    return VariantDefinition(label, VariantCategory.VOC,
-                             frozenset(clades.split(";")), parse_pattern(pattern))
+def _variant(label: str, category: VariantCategory, clades: str, pattern: str) -> VariantDefinition:
+    return VariantDefinition(label, category, frozenset(clades.split(";")), parse_pattern(pattern))
 
 
-def _voi(label: str, clades: str, pattern: str) -> VariantDefinition:
-    return VariantDefinition(label, VariantCategory.VOI,
-                             frozenset(clades.split(";")), parse_pattern(pattern))
-
-
+_VOC, _VOI = VariantCategory.VOC, VariantCategory.VOI
 DEFAULT_CATALOG = VariantCatalog(
     variants=(
-        _voc("Alpha", "GRY", "B.1.1.7+Q.x"),
-        _voc("Beta", "GH/501Y.V2", "B.1.351+B.1.351.2+B.1.351.3"),
-        _voc("Gamma", "GR/501Y.V3", "P.1+P.1.x"),
-        _voc("Delta", "G/478K.V1", "B.1.617.2+AY.x"),
-        _voi("Eta", "G/484K.V3", "B.1.525"),
-        _voi("Iota", "GH/253G.V1", "B.1.526"),
-        _voi("Kappa", "G/452R.V3", "B.1.617.1"),
-        _voi("Lambda", "GR/452Q.V1", "C.37"),
-        _voi("Mu", "GH", "B.1.621+B.1.621.1"),
+        _variant("Alpha", _VOC, "GRY", "B.1.1.7+Q.x"),
+        _variant("Beta", _VOC, "GH/501Y.V2", "B.1.351+B.1.351.2+B.1.351.3"),
+        _variant("Gamma", _VOC, "GR/501Y.V3", "P.1+P.1.x"),
+        _variant("Delta", _VOC, "G/478K.V1", "B.1.617.2+AY.x"),
+        _variant("Eta", _VOI, "G/484K.V3", "B.1.525"),
+        _variant("Iota", _VOI, "GH/253G.V1", "B.1.526"),
+        _variant("Kappa", _VOI, "G/452R.V3", "B.1.617.1"),
+        _variant("Lambda", _VOI, "GR/452Q.V1", "C.37"),
+        _variant("Mu", _VOI, "GH", "B.1.621+B.1.621.1"),
     )
 )
 

@@ -257,7 +257,8 @@ def _resolve_header(
 
 
 # The thirteen yes/no columns in the order a row checks them.
-_FLAG_COLUMNS = ("HABLA_LENGUA_INDIG", "UCI", "INTUBADO") + SVEERV_COLUMNS[11:]
+_FLAG_COLUMNS = ("HABLA_LENGUA_INDIG", "UCI", "INTUBADO") + tuple(
+    COMORBIDITY_COLUMNS[name] for name in COMORBIDITY_FIELDS)
 
 #: Rows per batch of the batch-columnar fold (SveervStream.count).
 BATCH_ROWS = 256

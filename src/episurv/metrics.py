@@ -30,16 +30,18 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .ingest import SveervStream, _count, _decoded, _Dim
 from .schema import (
     COMORBIDITY_FIELDS,
+    AgeGroup,
     CaseClassification,
     CodedFlag,
     PatientRecord,
     Sex,
     TreatmentStrategy,
+    age_group,
     is_positive,
 )
 
 __all__ = [
-    "AgeGroup",
+    "AgeGroup",  # this and age_group are defined in schema
     "age_group",
     "CohortFilter",
     "StratumKey",
@@ -69,27 +71,6 @@ __all__ = [
     "death_classification_sex_tally",
     "death_icu_sex_tally",
 ]
-
-
-class AgeGroup(Enum):
-    Y0_20 = "0-20"
-    Y21_40 = "21-40"
-    Y41_59 = "41-59"
-    Y60_PLUS = "60+"
-    UNKNOWN = "unknown"
-
-
-def age_group(age_years: int | None) -> AgeGroup:
-    """Bin an age into [0,20], [21,40], [41,59], [60,inf); None is Unknown."""
-    if age_years is None:
-        return AgeGroup.UNKNOWN
-    if age_years <= 20:
-        return AgeGroup.Y0_20
-    if age_years <= 40:
-        return AgeGroup.Y21_40
-    if age_years <= 59:
-        return AgeGroup.Y41_59
-    return AgeGroup.Y60_PLUS
 
 
 @dataclass(frozen=True)

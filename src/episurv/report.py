@@ -22,10 +22,10 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
-from .metrics import (GROUP_DIMENSIONS, AgeGroup, CaseCounts, MetricsReport, RankMetric,
-                      StratumKey, rank_states)
+from .metrics import GROUP_DIMENSIONS, CaseCounts, MetricsReport, RankMetric, StratumKey, rank_states
 from .schema import (
     COMORBIDITY_FIELDS,
+    AgeGroup,
     CaseClassification,
     CodedFlag,
     STATE_NAMES,
@@ -83,12 +83,14 @@ class _Pct(float):
 
 
 # Each member's place in its enum's definition order, for the sort keys;
-# None, meaning "all" on a stratum axis, sorts first.
-_RANK = {None: -1, **{member: i for enum in (Sex, AgeGroup, StatusBucket)
-                      for i, member in enumerate(enum)}}
-_NONE_FIRST = float("-inf")  # below every state and municipality code
+# None, meaning "all" on a stratum axis, sorts first, below every state and
+# municipality code, which rank as themselves.
+_RANK = {None: float("-inf"), **{member: i for enum in (Sex, AgeGroup, StatusBucket)
+                                 for i, member in enumerate(enum)}}
+# A stratum axis's cell: "all" for None, a member's value, or the code itself.
+_AXIS_CELL = {None: "all", **{member: member.value for enum in (Sex, AgeGroup) for member in enum}}
 
-_SEX_COLS = ("female", "male", "unspecified", "total")
+_SEX_COLS = (*(sex.value for sex in Sex), "total")
 
 
 def _build_coded_sex(code_cols: tuple[str, str], members, data: Mapping):
@@ -193,14 +195,12 @@ def _build_g3(data: VariantShares):
 
 
 def _in_stratum_order(keys: Iterable[StratumKey]) -> list[StratumKey]:
-    """``keys`` by state, municipality, sex and age group, with None ("all")
-    first on each axis: one stable sort per axis, the last axis first. Each
-    sort key is a code or a rank the stratum already holds, so no key tuple
-    is built per stratum."""
-    order = sorted(keys, key=lambda key: _RANK[key.age_group])
-    order.sort(key=lambda key: _RANK[key.sex])
-    order.sort(key=lambda key: _NONE_FIRST if key.municipality is None else key.municipality)
-    order.sort(key=lambda key: _NONE_FIRST if key.state is None else key.state)
+    """``keys`` in GROUP_DIMENSIONS order, with None ("all") first on each
+    axis: one stable sort per axis, the last axis first. Each sort key is a
+    code or a rank, so no key tuple is built per stratum."""
+    order = list(keys)
+    for axis in reversed(range(len(GROUP_DIMENSIONS))):
+        order.sort(key=lambda key: _RANK.get(key[axis], key[axis]))
     return order
 
 
@@ -257,10 +257,7 @@ _rates_of = attrgetter(*_RATE_COLS)
 def _metrics_rows(keys: list[StratumKey], data: Mapping[StratumKey, MetricsReport]):
     for key in keys:
         report = data[key]
-        yield ("all" if key.state is None else key.state,
-               "all" if key.municipality is None else key.municipality,
-               "all" if key.sex is None else key.sex.value,
-               "all" if key.age_group is None else key.age_group.value,
+        yield (*[_AXIS_CELL.get(value, value) for value in key],
                *_counts_of(report.counts),
                *[None if rate is None else _Pct(rate) for rate in _rates_of(report)])
 
@@ -268,9 +265,10 @@ def _metrics_rows(keys: list[StratumKey], data: Mapping[StratumKey, MetricsRepor
 def _build_metrics(data: Mapping):
     """One row per stratum, in stratum order. The rows are built as they are
     rendered: a fine grouping has tens of thousands of strata."""
+    if not all(isinstance(key, StratumKey) and isinstance(report, MetricsReport)
+               for key, report in data.items()):
+        raise TypeError("expects StratumKey keys and MetricsReport values")
     keys = _in_stratum_order(data)
-    if not all(isinstance(report, MetricsReport) for report in data.values()):
-        raise TypeError("expects MetricsReport values")
     return GROUP_DIMENSIONS + _COUNT_COLS + _RATE_COLS, _metrics_rows(keys, data), []
 
 

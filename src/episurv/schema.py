@@ -7,12 +7,16 @@ death-date column. This module owns those domains, the decoded enums, and the
 record type the rest of the package consumes.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum, IntEnum
 
 __all__ = [
     "MAX_AGE",
+    "AgeGroup",
+    "AGE_FLOORS",
+    "age_group",
     "ALIVE_SENTINEL",
     "COMORBIDITY_FIELDS",
     "STATE_NAMES",
@@ -87,6 +91,27 @@ class Sex(Enum):
 
 #: SEXO codes; the reader takes any other integer as unspecified.
 SEX_CODES = {1: Sex.FEMALE, 2: Sex.MALE, 99: Sex.UNSPECIFIED}
+
+
+class AgeGroup(Enum):
+    Y0_20 = "0-20"
+    Y21_40 = "21-40"
+    Y41_59 = "41-59"
+    Y60_PLUS = "60+"
+    UNKNOWN = "unknown"
+
+
+#: The youngest age of each group but UNKNOWN, in AgeGroup order; each group
+#: ends where the next begins.
+AGE_FLOORS = (0, 21, 41, 60)
+_AGE_GROUPS = tuple(AgeGroup)
+
+
+def age_group(age_years: int | None) -> AgeGroup:
+    """The group of an age (one below 0 falls in the first); None is Unknown."""
+    if age_years is None:
+        return AgeGroup.UNKNOWN
+    return _AGE_GROUPS[bisect_right(AGE_FLOORS, age_years, 1) - 1]
 
 
 class SuspectType(Enum):

@@ -109,6 +109,19 @@ class TestUsageErrors:
         assert [line for line in captured.err.splitlines() if "error:" in line] == \
             ["episurv epi-report: error: " + error]
 
+    @pytest.mark.parametrize("command", ["epi-report", "rank", "scatter", "severity"])
+    @pytest.mark.parametrize("codes, token", [("99", "99"), ("20,0", "0"), (" 33 ", "33")])
+    def test_a_state_code_outside_the_domain_is_refused_before_reading(self, command, codes, token, epi_file,
+                                                                        tmp_path, capsys):
+        for path in (epi_file, str(tmp_path / "missing.csv")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-i", path, "--states", codes])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage: ")
+            assert [line for line in captured.err.splitlines() if "error:" in line] == \
+                [f"episurv {command}: error: argument --states: {token!r} is not a state code (expected 1-32)"]
+
     @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
                                       ["validate", "--encoding", "utf-8-sig"],
                                       ["epi-report", "--encoding", "latin-1", "--delimiter", ","]])
@@ -231,6 +244,25 @@ class TestEpiReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["total"] == 1          # only the hospitalized male
         assert payload[0]["hospitalized_pos"] == 1
+
+    @pytest.mark.parametrize("empty, other", [
+        ("--states=", []), ("--states=", ["--sexes", "female"]),
+        ("--municipalities=", []), ("--municipalities=", ["--sexes", "female"]),
+        ("--municipalities=", ["--states", "20"]),
+        ("--sexes=", []), ("--sexes=", ["--states", "20"]),
+    ])
+    def test_an_empty_list_is_no_filter_alone_or_next_to_another(self, empty, other, epi_file, capsys):
+        assert main(["epi-report", "-i", epi_file, "--table", "t1", *other]) == 0
+        without = capsys.readouterr().out
+        assert main(["epi-report", "-i", epi_file, "--table", "t1", empty, *other]) == 0
+        assert capsys.readouterr().out == without
+        assert without.splitlines()[-1].endswith("\t4" if other else "\t6")  # of the 6 accepted rows
+
+    def test_an_empty_group_by_is_the_national_table(self, epi_file, capsys):
+        assert main(["epi-report", "-i", epi_file]) == 0
+        national = capsys.readouterr().out
+        assert main(["epi-report", "-i", epi_file, "--group-by", " , "]) == 0
+        assert capsys.readouterr().out == national
 
     def test_positivity_mode_changes_result(self, tmp_path, capsys):
         path = tmp_path / "mix.csv"
@@ -430,6 +462,10 @@ class TestGenomicReport:
         assert lines[2] == "Oaxaca\t1\t0\t0\t1"
         assert lines[3] == "total\t2\t0\t0\t2"
 
+    def test_t11_with_no_states_is_the_empty_total(self, gisaid_file, capsys):
+        assert main(["genomic-report", "-i", gisaid_file, "--table", "t11", "--states="]) == 0
+        assert capsys.readouterr().out == "state\tfemale\tmale\tunspecified\ttotal\ntotal\t0\t0\t0\t0\n"
+
     def test_t12_vaccines(self, gisaid_file, capsys):
         assert main(["genomic-report", "-i", gisaid_file, "--table", "t12",
                      "--states", "Puebla"]) == 0
@@ -619,17 +655,25 @@ class TestFixtureGen:
         assert out.startswith("ENTIDAD_RES,")
 
 
-def test_genomic_report_does_not_import_fixtures(gisaid_file):
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "episurv.cli", "genomic-report",
-         "-i", gisaid_file],
-        capture_output=True, text=True, timeout=60,
-    )
+def _imported(*argv: str) -> set[str]:
+    """The modules a fresh interpreter run with ``argv`` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_genomic_report_does_not_import_fixtures(gisaid_file):
+    imported = _imported("-m", "episurv.cli", "genomic-report", "-i", gisaid_file)
     assert "episurv.genomics" in imported
     assert "episurv.fixtures" not in imported
+
+
+def test_genomics_does_not_import_metrics():
+    imported = _imported("-c", "import episurv.genomics")
+    assert "episurv.genomics" in imported
+    assert "episurv.metrics" not in imported
 
 
 def test_console_script_runs():

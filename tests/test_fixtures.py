@@ -20,11 +20,13 @@ from episurv.fixtures import (
     random_patient_records,
     smoke_epi_spec,
     write_sveerv_csv,
+    _AGE_SPANS,
+    _ANY_AGE,
     _PROFILE_FLAGS,
     _random_values,
 )
 from episurv.ingest import ingest_gisaid, ingest_sveerv
-from episurv.metrics import AgeGroup, CaseCounts
+from episurv.metrics import AgeGroup, CaseCounts, age_group
 from episurv.schema import CodedFlag, Sex, TreatmentStrategy
 
 F, M = Sex.FEMALE, Sex.MALE
@@ -377,6 +379,19 @@ class TestGenomicGeneration:
         unknown = [s for s in samples if s.age_years is None]
         assert (len(young), len(old), len(unknown)) == (1, 2, 1)
         assert all(s.sex is M for s in old)
+
+    def test_each_age_span_draws_only_its_own_group(self):
+        assert list(_AGE_SPANS) == list(AgeGroup)
+        drawn = []
+        for group, span in _AGE_SPANS.items():
+            if span is None:
+                assert group is AgeGroup.UNKNOWN
+                continue
+            low, n = span  # int(random()*n)+low
+            assert {age_group(age) for age in range(low, low + n)} == {group}
+            drawn.extend(range(low, low + n))
+        # Together the spans draw every age that a sample of any group may have.
+        assert drawn == list(range(_ANY_AGE[0], sum(_ANY_AGE)))
 
 
 class TestDispatchAndPresets:

@@ -54,6 +54,7 @@ def counts_of(*records) -> CaseCounts:
 
 
 def test_age_group_bin_edges():
+    assert age_group(-1) is AgeGroup.Y0_20
     assert age_group(0) is AgeGroup.Y0_20
     assert age_group(20) is AgeGroup.Y0_20
     assert age_group(21) is AgeGroup.Y21_40

@@ -8,8 +8,10 @@ from datetime import date
 
 import pytest
 
+import episurv.metrics
 from episurv.ingest import RowError, ingest_sveerv
 from episurv.schema import (
+    AgeGroup,
     CaseClassification,
     CodedFlag,
     LabSampleStatus,
@@ -17,6 +19,7 @@ from episurv.schema import (
     Sex,
     SuspectType,
     TreatmentStrategy,
+    age_group,
     is_positive,
     suspect_type,
 )
@@ -125,3 +128,8 @@ class TestSuspectType:
         alive_negative = make_record(classification=CaseClassification.NEGATIVE)
         assert suspect_type(alive_negative, LabSampleStatus.TAKEN, False) is None
         assert suspect_type(alive_negative, LabSampleStatus.NOT_TAKEN, False) is None
+
+
+def test_metrics_reexports_the_age_domain():
+    assert episurv.metrics.AgeGroup is AgeGroup
+    assert episurv.metrics.age_group is age_group

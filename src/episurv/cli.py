@@ -181,8 +181,10 @@ def _tally(tally):
     return lambda stream, args: tally(stream, _cohort_from(args))
 
 
-def _strata(stream, args) -> dict[StratumKey, MetricsReport]:
-    return stratified_report(stream, _cohort_from(args), args.group_by or (),
+def _strata(stream, args, group_by=("state",)) -> dict[StratumKey, MetricsReport]:
+    """A registry table's strata by ``group_by``: the per-state charts keep
+    the default."""
+    return stratified_report(stream, _cohort_from(args), group_by,
                              SeverityCriterion(args.severity_rule),
                              PositivityMode(args.positivity))
 
@@ -203,9 +205,9 @@ _TABLES: dict[TableId, tuple[str, Callable]] = {
     TableId.T5: ("epi-report", _tally(intubation_sex_tally)),
     TableId.T6: ("epi-report", _tally(death_classification_sex_tally)),
     TableId.T7: ("epi-report", _tally(death_icu_sex_tally)),
-    TableId.METRICS: ("epi-report", _strata),
+    TableId.METRICS: ("epi-report", lambda stream, args: _strata(stream, args, args.group_by or ())),
     TableId.COMORBIDITY_PROFILE: ("epi-report", lambda stream, args: comorbidity_profile(
-        stream, _cohort_from(args), Subcohort(args.subcohort))),
+        stream, _cohort_from(args), Subcohort(args.subcohort or Subcohort.DEATHS_ICU_INTUBATED))),
     TableId.G3_SHARES: ("genomic-report", lambda stream, args: variant_shares(stream, args.catalog)),
     TableId.T8: ("genomic-report", lambda stream, args: full_crosstab(stream, args.catalog)),
     TableId.T9: ("genomic-report", lambda stream, args: status_crosstab(stream, args.catalog, args.label)),
@@ -219,8 +221,22 @@ _TABLES: dict[TableId, tuple[str, Callable]] = {
 }
 
 
+def _option_error(args, table: TableId) -> str | None:
+    """Why a registry table's options do not fit together, if they do not."""
+    if args.onset_from is not None and args.onset_to is not None and args.onset_from > args.onset_to:
+        return f"--onset-from {args.onset_from} is later than --onset-to {args.onset_to}"
+    if args.command == "epi-report":  # the only command with these options
+        if args.group_by is not None and table is not TableId.METRICS:
+            return "--group-by applies only to --table metrics"
+        if args.subcohort is not None and table is not TableId.COMORBIDITY_PROFILE:
+            return "--subcohort applies only to --table comorbidity-profile"
+    return None
+
+
 def _cmd_table(args) -> int:
     table = TableId(args.table)
+    if args.kind == "sveerv" and (message := _option_error(args, table)):
+        return _usage_error(args.parser, message)
     if args.kind == "gisaid":  # before the input: when both are missing, the error names the catalog
         args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
     stream = _open(args)
@@ -320,11 +336,11 @@ def _add_table_command(sub, name: str, help: str, kind: str = "sveerv",
         _add_registry_options(p)
     tables = tuple(table.value for table, (command, _) in _TABLES.items() if command == name)
     if default is None:
-        p.set_defaults(table=tables[0], group_by=("state",))
+        p.set_defaults(table=tables[0])
     else:
         p.add_argument("--table", choices=tables, default=default,
                        help=f"which table to render (default {default})")
-    p.set_defaults(func=_cmd_table, kind=kind)
+    p.set_defaults(func=_cmd_table, kind=kind, parser=p)
     return p
 
 
@@ -345,10 +361,9 @@ def _build_parser() -> _Parser:
 
     p = _add_table_command(sub, "epi-report", "render case-registry tables or stratified metrics",
                            default="metrics")
-    p.add_argument("--group-by", type=_dimensions, default=(), metavar="DIMS",
+    p.add_argument("--group-by", type=_dimensions, default=None, metavar="DIMS",
                    help="metrics table strata: comma list of " + ",".join(_DIMENSIONS))
-    p.add_argument("--subcohort", choices=tuple(s.value for s in Subcohort),
-                   default=Subcohort.DEATHS_ICU_INTUBATED.value,
+    p.add_argument("--subcohort", choices=tuple(s.value for s in Subcohort), default=None,
                    help="rows counted by the comorbidity profile")
 
     p = _add_table_command(sub, "genomic-report", "render variant tables from sequence metadata",

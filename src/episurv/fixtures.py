@@ -413,11 +413,15 @@ _PROFILE_P = {
     },
 }
 
+# A drawn age, as (low, span) for int(random()*span)+low, is never above
+# the ceiling.
+_AGE_CEILING = 95
+_ANY_AGE = (0, _AGE_CEILING + 1)
+
 _PROFILE_AGE = {
-    # (low, span) for int(random()*span)+low
-    "default": (0, 96),
-    "hospitalized": (20, 76),
-    "death": (30, 66),
+    "default": _ANY_AGE,
+    "hospitalized": (20, _AGE_CEILING + 1 - 20),
+    "death": (30, _AGE_CEILING + 1 - 30),
     "severe_death": (45, 46),
 }
 
@@ -580,10 +584,8 @@ _FILLER_DIVISIONS = (
     "Tamaulipas", "Baja California", "Chiapas",
 )
 
-# A sample's age, as (low, span) for int(random()*span)+low: any age up to
-# the ceiling, or any age of one group. An UNKNOWN sample has no age.
-_AGE_CEILING = 95
-_ANY_AGE = (0, _AGE_CEILING + 1)
+# A sample's age: any age up to the ceiling, or any age of one group. An
+# UNKNOWN sample has no age.
 _AGE_SPANS = {group: (low, high - low) for group, low, high
               in zip(AgeGroup, AGE_FLOORS, (*AGE_FLOORS[1:], _AGE_CEILING + 1))}
 _AGE_SPANS[AgeGroup.UNKNOWN] = None
@@ -934,10 +936,18 @@ PRESET_ALIASES = {
 }
 
 
+# The most rows a smoke spec may ask for: at this count the generator's
+# shuffle plan alone holds 200 MB (two bytes a row).
+_SMOKE_MAX_ROWS = 10**8
+
+
 def smoke_epi_spec(rows: int, seed: int = 0) -> EpiMarginalSpec:
-    """Synthetic load-test spec with an exact total row count."""
+    """Synthetic load-test spec with an exact total row count, from 20 to
+    10**8 (_SMOKE_MAX_ROWS)."""
     if rows < 20:
         raise ValueError("smoke preset needs at least 20 rows")
+    if rows > _SMOKE_MAX_ROWS:
+        raise ValueError(f"smoke preset takes at most {_SMOKE_MAX_ROWS} rows")
     half = rows // 2
     c3 = (rows * 18) // 100
     c6 = (rows * 5) // 100

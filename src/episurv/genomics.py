@@ -13,6 +13,7 @@ batch-columnar fold (GisaidStream.count) without building a SampleRecord.
 """
 
 import functools
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -245,16 +246,8 @@ def fold_text(text: str) -> str:
     punctuation and whitespace runs to single spaces."""
     decomposed = unicodedata.normalize("NFKD", text)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    out = []
-    last_space = True
-    for ch in stripped.casefold():
-        if ch.isalnum():
-            out.append(ch)
-            last_space = False
-        elif not last_space:
-            out.append(" ")
-            last_space = True
-    return "".join(out).strip()
+    # [^\W_] matches exactly the characters for which str.isalnum() is true.
+    return " ".join(re.findall(r"[^\W_]+", stripped.casefold()))
 
 
 def _status_table() -> dict[str, StatusBucket]:
@@ -307,9 +300,9 @@ class VariantShares:
 
 
 def _label(catalog: VariantCatalog) -> _Dim:
-    """The who_label (or None) dimension; each distinct lineage is classified
-    once per call, not once per sample."""
-    return ("pango_lineage", functools.cache(catalog.classify))
+    """The who_label (or None) dimension; the fold classifies each distinct
+    lineage once per call, not once per sample."""
+    return ("pango_lineage", catalog.classify)
 
 
 def _resolve_label(catalog: VariantCatalog, who_label: str) -> str:
@@ -327,8 +320,7 @@ def _count_of_label(
 ) -> Counter[tuple]:
     """Counts by ``dims`` of the samples classified as ``who_label``."""
     wanted = _resolve_label(catalog, who_label)
-    classify = functools.cache(catalog.classify)
-    return _count(samples, dims, [("pango_lineage", lambda lineage: classify(lineage) == wanted)])
+    return _count(samples, dims, [("pango_lineage", lambda lineage: catalog.classify(lineage) == wanted)])
 
 
 def variant_shares(

@@ -90,49 +90,48 @@ _RANK = {None: float("-inf"), **{member: i for enum in (Sex, AgeGroup, StatusBuc
 # A stratum axis's cell: "all" for None, a member's value, or the code itself.
 _AXIS_CELL = {None: "all", **{member: member.value for enum in (Sex, AgeGroup) for member in enum}}
 
-_SEX_COLS = (*(sex.value for sex in Sex), "total")
+_SEX_COLS = tuple(sex.value for sex in Sex)
+
+
+def _grid(label_cols: tuple[str, ...], count_cols: tuple[str, ...], rows: Iterable, total: tuple = ()):
+    """A labels-by-counts table: per ``(labels, counts)`` pair of ``rows``,
+    one row of its labels, its counts and their sum; then, when ``total``
+    labels it, one row of the column sums, all zero when ``rows`` is empty."""
+    out = []
+    sums = [0] * len(count_cols)
+    for labels, counts in rows:
+        sums = [s + c for s, c in zip(sums, counts)]
+        out.append((*labels, *counts, sum(counts)))
+    if total:
+        out.append((*total, *sums, sum(sums)))
+    return (*label_cols, *count_cols, "total"), out, []
 
 
 def _build_coded_sex(code_cols: tuple[str, str], members, data: Mapping):
-    """One row per coded member (its code, its name, a count per Sex and their
-    sum) in the members' order, then the total row."""
-    rows = []
-    tot = [0] * len(Sex)
-    for member in members:
-        cells = [data.get((member, sex), 0) for sex in Sex]
-        tot = [t + c for t, c in zip(tot, cells)]
-        rows.append((member.value, member.name.lower(), *cells, sum(cells)))
-    rows.append(("", "total", *tot, sum(tot)))
-    return code_cols + _SEX_COLS, rows, []
+    """One row per coded member (its code and its name, counted per Sex) in
+    the members' order, then the total row."""
+    rows = (((member.value, member.name.lower()), [data.get((member, sex), 0) for sex in Sex])
+            for member in members)
+    return _grid(code_cols, _SEX_COLS, rows, total=("", "total"))
 
 
 def _build_t3(data: Mapping):
-    cols = ("sex", "ambulatory", "hospitalized", "total")
-    rows = []
-    tot_a = tot_h = 0
-    for sex in Sex:
-        a = data.get((sex, TreatmentStrategy.AMBULATORY), 0)
-        h = data.get((sex, TreatmentStrategy.HOSPITALIZED), 0)
-        tot_a += a
-        tot_h += h
-        rows.append((sex.value, a, h, a + h))
-    rows.append(("total", tot_a, tot_h, tot_a + tot_h))
-    return cols, rows, []
+    rows = (((sex.value,), [data.get((sex, strategy), 0) for strategy in TreatmentStrategy])
+            for sex in Sex)
+    strategies = tuple(strategy.name.lower() for strategy in TreatmentStrategy)
+    return _grid(("sex",), strategies, rows, total=("total",))
 
 
 def _build_t4(data: Mapping):
-    cols = ("state_code", "state", "ambulatory", "hospitalized", "total", "hospital_share_pct")
-    national_hosp = sum(split[1] for split in data.values())
-    rows = []
-    tot_a = 0
-    for state in sorted(data):
-        amb, hosp = data[state][0], data[state][1]
-        tot_a += amb
-        share = _Pct(hosp / national_hosp * 100.0) if national_hosp else None
-        rows.append((state, STATE_NAMES.get(state, str(state)), amb, hosp, amb + hosp, share))
-    share = _Pct(100.0) if national_hosp else None
-    rows.append(("", "total", tot_a, national_hosp, tot_a + national_hosp, share))
-    return cols, rows, []
+    """Per state, its split and its share of the hospitalized; the total
+    row's share is that of the nation, 100 when anyone is hospitalized."""
+    rows = (((state, STATE_NAMES.get(state, str(state))), (data[state][0], data[state][1]))
+            for state in sorted(data))
+    cols, rows, trailers = _grid(("state_code", "state"), ("ambulatory", "hospitalized"), rows,
+                                 total=("", "total"))
+    national = rows[-1][3]  # column 3 is hospitalized; the last row, the total
+    rows = [(*row, _Pct(row[3] / national * 100.0) if national else None) for row in rows]
+    return (*cols, "hospital_share_pct"), rows, trailers
 
 
 def _build_t8(data: Mapping):
@@ -175,16 +174,13 @@ def _build_t11(data: StateSummary):
     for name, block in _summary_blocks(data):
         cells = [block.sexes.get(sex, 0) for sex in Sex]
         rows.append((name, *cells, block.total))
-    return ("state", *_SEX_COLS), rows, []
+    return ("state", *_SEX_COLS, "total"), rows, []
 
 
 def _build_t13(data: StateSummary):
-    rows = []
-    for name, block in _summary_blocks(data):
-        for group in AgeGroup:
-            cells = [block.age_sex.get((group, sex), 0) for sex in Sex]
-            rows.append((name, group.value, *cells, sum(cells)))
-    return ("state", "age_group", *_SEX_COLS), rows, []
+    rows = (((name, group.value), [block.age_sex.get((group, sex), 0) for sex in Sex])
+            for name, block in _summary_blocks(data) for group in AgeGroup)
+    return _grid(("state", "age_group"), _SEX_COLS, rows)
 
 
 def _build_g3(data: VariantShares):

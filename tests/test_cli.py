@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from episurv import _shard
+from episurv import _shard, fixtures
 from episurv.cli import _FATALITY_NOTE, main
 from episurv.fixtures import generate_fixture, load_preset
 from episurv.ingest import ingest_gisaid, ingest_sveerv
@@ -122,6 +122,27 @@ class TestUsageErrors:
             assert [line for line in captured.err.splitlines() if "error:" in line] == \
                 [f"episurv {command}: error: argument --states: {token!r} is not a state code (expected 1-32)"]
 
+    @pytest.mark.parametrize("argv, error", [
+        *[([command, "--onset-from", "2021-05-01", "--onset-to", "2020-01-01"],
+           f"episurv {command}: error: --onset-from 2021-05-01 is later than --onset-to 2020-01-01")
+          for command in ("epi-report", "rank", "scatter", "severity")],
+        (["epi-report", "--table", "t1", "--group-by", "state"],
+         "episurv epi-report: error: --group-by applies only to --table metrics"),
+        (["epi-report", "--table", "comorbidity-profile", "--group-by", "sex"],
+         "episurv epi-report: error: --group-by applies only to --table metrics"),
+        (["epi-report", "--subcohort", "deaths-positive"],
+         "episurv epi-report: error: --subcohort applies only to --table comorbidity-profile"),
+        (["epi-report", "--table", "t4", "--subcohort", "hospitalized-positive"],
+         "episurv epi-report: error: --subcohort applies only to --table comorbidity-profile"),
+    ], ids=["onset-epi-report", "onset-rank", "onset-scatter", "onset-severity", "group-by-t1",
+            "group-by-comorbidity-profile", "subcohort-metrics", "subcohort-t4"])
+    def test_options_that_do_not_fit_are_refused_before_reading(self, argv, error, epi_file, tmp_path, capsys):
+        for path in (epi_file, str(tmp_path / "missing.csv")):
+            assert main([*argv, "-i", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage: ")
+            assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
+
     @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
                                       ["validate", "--encoding", "utf-8-sig"],
                                       ["epi-report", "--encoding", "latin-1", "--delimiter", ","]])
@@ -151,6 +172,19 @@ class TestDataErrors:
     def test_smoke_rows_too_small(self, capsys):
         assert main(["fixture-gen", "--preset", "smoke", "--rows", "5"]) == 2
         assert "at least 20 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [10**8 + 1, 10**20])
+    def test_smoke_rows_above_the_ceiling_generate_nothing(self, rows, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generate_fixture was called")
+
+        monkeypatch.setattr(fixtures, "generate_fixture", never)
+        target = tmp_path / "never.csv"
+        assert main(["fixture-gen", "--preset", "smoke", "--rows", str(rows), "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "episurv: error: smoke preset takes at most 100000000 rows\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["epi-report"], ["validate", "--kind", "gisaid"], ["genomic-report"],
@@ -257,6 +291,16 @@ class TestEpiReport:
         assert main(["epi-report", "-i", epi_file, "--table", "t1", empty, *other]) == 0
         assert capsys.readouterr().out == without
         assert without.splitlines()[-1].endswith("\t4" if other else "\t6")  # of the 6 accepted rows
+
+    def test_an_equal_onset_pair_is_that_day(self, epi_file, capsys):
+        assert main(["epi-report", "-i", epi_file, "--table", "t1"]) == 0
+        every = capsys.readouterr().out
+        assert main(["epi-report", "-i", epi_file, "--table", "t1",
+                     "--onset-from", "2021-07-01", "--onset-to", "2021-07-01"]) == 0
+        assert capsys.readouterr().out == every  # every row's onset is 2021-07-01
+        assert main(["epi-report", "-i", epi_file, "--table", "t1",
+                     "--onset-from", "2021-07-02", "--onset-to", "2021-07-02"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "\ttotal\t0\t0\t0\t0"
 
     def test_an_empty_group_by_is_the_national_table(self, epi_file, capsys):
         assert main(["epi-report", "-i", epi_file]) == 0

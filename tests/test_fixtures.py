@@ -164,6 +164,12 @@ class TestEpiGeneration:
         with pytest.raises(ValueError):
             smoke_epi_spec(19)
 
+    def test_smoke_spec_ceiling(self):
+        assert sum(smoke_epi_spec(10**8).classification_sex.values()) == 10**8
+        for rows in (10**8 + 1, 10**20):
+            with pytest.raises(ValueError, match=r"^smoke preset takes at most 100000000 rows$"):
+                smoke_epi_spec(rows)
+
     def test_same_seed_same_bytes(self):
         spec = smoke_epi_spec(300, seed=11)
         assert generate_epi_fixture(spec) == generate_epi_fixture(spec)

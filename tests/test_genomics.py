@@ -1,4 +1,7 @@
 import csv
+import re
+import sys
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,9 +27,10 @@ from episurv.genomics import (
     status_crosstab,
     variant_shares,
 )
-from episurv.ingest import MissingRequiredColumn, SampleRecord
+from episurv.ingest import MissingRequiredColumn, SampleRecord, ingest_gisaid
 from episurv.metrics import AgeGroup
 from episurv.schema import Sex
+from test_ingest import gisaid_bytes, grow
 
 
 def sample(lineage="AY.20", clade="GK", state="Oaxaca", status="Ambulatorio",
@@ -233,6 +237,31 @@ class TestFoldText:
         once = fold_text(text)
         assert fold_text(once) == once
 
+    @given(st.text(st.one_of(st.characters(), st.sampled_from("áÉñÜç\u0301\u0327ßﬁ½²_-.,;/ \t\n")), max_size=40))
+    def test_equals_the_character_loop(self, text):
+        assert fold_text(text) == _fold_text_by_loop(text)
+
+    def test_the_word_class_without_underscore_is_exactly_isalnum(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", every) == list(filter(str.isalnum, every))
+
+
+def _fold_text_by_loop(text: str) -> str:
+    """fold_text as a loop over the folded characters: the reference its
+    regular expression must agree with."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    out = []
+    last_space = True
+    for ch in stripped.casefold():
+        if ch.isalnum():
+            out.append(ch)
+            last_space = False
+        elif not last_space:
+            out.append(" ")
+            last_space = True
+    return "".join(out).strip()
+
 
 class TestBucketStatus:
     @pytest.mark.parametrize("status,bucket", [
@@ -346,7 +375,7 @@ class CountingCatalog(VariantCatalog):
         return super().classify(lineage)
 
 
-@pytest.mark.parametrize("table", [
+_EVERY_TABLE = pytest.mark.parametrize("table", [
     variant_shares,
     full_crosstab,
     lambda samples, catalog: clade_crosstab(samples, catalog, "Delta"),
@@ -354,6 +383,9 @@ class CountingCatalog(VariantCatalog):
     lambda samples, catalog: state_summary(samples, catalog, "Delta", ("Oaxaca",)),
 ], ids=["variant_shares", "full_crosstab", "clade_crosstab", "status_crosstab",
         "state_summary"])
+
+
+@_EVERY_TABLE
 def test_each_distinct_lineage_classified_once_per_call(table):
     samples = [sample(lineage=lin) for lin in ("AY.20", "B.1.1.7", "XBB") for _ in range(4)]
     catalog = CountingCatalog(DEFAULT_CATALOG.variants)
@@ -361,6 +393,14 @@ def test_each_distinct_lineage_classified_once_per_call(table):
     assert catalog.calls == {"AY.20": 1, "B.1.1.7": 1, "XBB": 1}
     table(samples, catalog)  # the memo lives for one call only
     assert catalog.calls == {"AY.20": 2, "B.1.1.7": 2, "XBB": 2}
+
+
+@_EVERY_TABLE
+def test_a_stream_classifies_each_distinct_lineage_once(table):
+    data = gisaid_bytes(*(grow(pango_lineage=lin) for lin in ("AY.20", "B.1.1.7", "XBB") for _ in range(4)))
+    catalog = CountingCatalog(DEFAULT_CATALOG.variants)
+    table(ingest_gisaid(data), catalog)
+    assert catalog.calls == {"AY.20": 1, "B.1.1.7": 1, "XBB": 1}
 
 
 def test_each_distinct_state_and_status_folded_once_per_call(monkeypatch):

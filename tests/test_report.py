@@ -108,6 +108,34 @@ class TestClassificationTables:
         assert lines[1] == "20\tOaxaca\t3\t0\t3\tNA"
         assert lines[2] == "\ttotal\t3\t0\t3\tNA"
 
+    def test_t4_with_no_states_is_the_zero_total(self):
+        assert render(TableId.T4, {}, "tsv") == \
+            b"state_code\tstate\tambulatory\thospitalized\ttotal\thospital_share_pct\n\ttotal\t0\t0\t0\tNA\n"
+        assert render(TableId.T4, {}, "json") == \
+            (b'[{"state_code": "", "state": "total", "ambulatory": 0, "hospitalized": 0,'
+             b' "total": 0, "hospital_share_pct": null}]\n')
+
+    @pytest.mark.parametrize("table, counts", [
+        (TableId.T1, st.dictionaries(st.tuples(st.sampled_from(CaseClassification), st.sampled_from(Sex)),
+                                     st.integers(0, 10**6))),
+        (TableId.T3, st.dictionaries(st.tuples(st.sampled_from(Sex), st.sampled_from(TreatmentStrategy)),
+                                     st.integers(0, 10**6))),
+        (TableId.T4, st.dictionaries(st.integers(1, 32), st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))),
+    ], ids=["t1", "t3", "t4"])
+    @given(data=st.data())
+    def test_the_total_row_is_the_column_sums(self, table, counts, data):
+        """Each row's total is the sum of its counts, and the total row's
+        counts are the sums of the rows' (all of the input's, in its total)."""
+        drawn = data.draw(counts)
+        *rows, total = json.loads(render(table, drawn, "json"))
+        count_cols = [col for col, value in total.items() if type(value) is int]
+        assert count_cols[-1] == "total"
+        for row in (*rows, total):
+            assert row["total"] == sum(row[col] for col in count_cols[:-1])
+        for col in count_cols:
+            assert total[col] == sum(row[col] for row in rows)
+        assert total["total"] == sum(sum(v) if isinstance(v, tuple) else v for v in drawn.values())
+
     def test_t5_flag_rows_in_code_order(self):
         data = {(CodedFlag.YES, Sex.MALE): 3,
                 (CodedFlag.NOT_APPLICABLE, Sex.FEMALE): 8}

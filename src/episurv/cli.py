@@ -16,6 +16,7 @@ CSV, missing columns, inconsistent marginals, unknown preset), 130 interrupted.
 """
 
 import argparse
+import errno
 import os
 import sys
 from datetime import date
@@ -158,6 +159,20 @@ def _write(chunks: Iterable[bytes], out: str | None) -> None:
             f.writelines(chunks)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise the OSError that writing the file ``out`` would, if it is a
+    directory or its directory is missing; checked before the input is read,
+    and without creating or truncating ``out``."""
+    if out in (None, "-"):
+        return
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+
+
 # --- commands -----------------------------------------------------------------
 
 def _open(args):
@@ -171,6 +186,7 @@ def _cmd_validate(args) -> int:
     if args.kind == "gisaid" and args.delimiter is not None:
         return _usage_error(args.parser, "--delimiter applies only to --kind sveerv:"
                                          " the metadata delimiter is sniffed")
+    _check_out(args.out)
     stream = _open(args)
     stream.count(())  # the batch path: only the counters are reported
     _write([validate_report(stream.stats).encode("utf-8")], args.out)
@@ -189,8 +205,12 @@ def _strata(stream, args, group_by=("state",)) -> dict[StratumKey, MetricsReport
                              PositivityMode(args.positivity))
 
 
+def _label(args) -> str:
+    return args.label or "Delta"
+
+
 def _summary(stream, args):
-    return state_summary(stream, args.catalog, args.label, args.states or ())
+    return state_summary(stream, args.catalog, _label(args), args.states or ())
 
 
 # Every table, with the subcommand that renders it and what computes its data
@@ -210,7 +230,7 @@ _TABLES: dict[TableId, tuple[str, Callable]] = {
         stream, _cohort_from(args), Subcohort(args.subcohort or Subcohort.DEATHS_ICU_INTUBATED))),
     TableId.G3_SHARES: ("genomic-report", lambda stream, args: variant_shares(stream, args.catalog)),
     TableId.T8: ("genomic-report", lambda stream, args: full_crosstab(stream, args.catalog)),
-    TableId.T9: ("genomic-report", lambda stream, args: status_crosstab(stream, args.catalog, args.label)),
+    TableId.T9: ("genomic-report", lambda stream, args: status_crosstab(stream, args.catalog, _label(args))),
     TableId.T10: ("genomic-report", _summary),
     TableId.T11: ("genomic-report", _summary),
     TableId.T12: ("genomic-report", _summary),
@@ -221,8 +241,21 @@ _TABLES: dict[TableId, tuple[str, Callable]] = {
 }
 
 
+# The tables of one variant, which --label names.
+_LABEL_TABLES = (TableId.T9, TableId.T10, TableId.T11, TableId.T12, TableId.T13)
+
+
 def _option_error(args, table: TableId) -> str | None:
-    """Why a registry table's options do not fit together, if they do not."""
+    """Why a table's options do not fit together or with the loaded catalog, if they do not."""
+    if args.kind == "gisaid":
+        if args.label is None:
+            return None
+        if table not in _LABEL_TABLES:
+            return f"--label applies only to --table {', '.join(t.value for t in _LABEL_TABLES)}"
+        if args.catalog.get(args.label) is None:
+            labels = ", ".join(v.who_label for v in args.catalog.variants)
+            return f"--label {args.label!r} is not in the catalog (expected {labels})"
+        return None
     if args.onset_from is not None and args.onset_to is not None and args.onset_from > args.onset_to:
         return f"--onset-from {args.onset_from} is later than --onset-to {args.onset_to}"
     if args.command == "epi-report":  # the only command with these options
@@ -235,10 +268,11 @@ def _option_error(args, table: TableId) -> str | None:
 
 def _cmd_table(args) -> int:
     table = TableId(args.table)
-    if args.kind == "sveerv" and (message := _option_error(args, table)):
-        return _usage_error(args.parser, message)
     if args.kind == "gisaid":  # before the input: when both are missing, the error names the catalog
         args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
+    if message := _option_error(args, table):
+        return _usage_error(args.parser, message)
+    _check_out(args.out)
     stream = _open(args)
     data = _TABLES[table][1](stream, args)
     chunks = render_chunks(table, data, args.format)
@@ -368,7 +402,7 @@ def _build_parser() -> _Parser:
 
     p = _add_table_command(sub, "genomic-report", "render variant tables from sequence metadata",
                            kind="gisaid", default="g3-shares")
-    p.add_argument("--label", default="Delta",
+    p.add_argument("--label", default=None,
                    help="variant label for t9-t13 (default Delta)")
     p.add_argument("--states", type=_names,
                    default=["Puebla", "Hidalgo", "Veracruz", "Oaxaca"],

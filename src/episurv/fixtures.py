@@ -100,13 +100,29 @@ def _spelled(part) -> str:
     return str(part)
 
 
-def _negative_cells(spec) -> Iterator[str]:
-    """A conflict for each negative cell of the spec's tables, naming the
-    table and the cell; a ``state_treatment`` cell is a state and a
-    treatment."""
+_CLASS_CODES = [c.value for c in CaseClassification]
+_POSITIVE_CODES = [c.value for c in CaseClassification if is_positive(c)]
+
+# The codes that the first part of a table's cell keys may take, and what a
+# conflict calls them.
+_CODE_DOMAINS = {
+    "classification_sex": ("classification", _CLASS_CODES),
+    "deaths_classification_sex": ("deaths classification", _POSITIVE_CODES),
+    "state_treatment": ("state", sorted(STATE_NAMES)),
+}
+
+
+def _bad_cells(spec) -> Iterator[str]:
+    """A conflict for each cell of the spec's tables that no file can hold: a
+    code outside its table's domain, or a negative count, naming the table and
+    the cell; a ``state_treatment`` cell is a state and a treatment."""
     for table in fields(spec):
         cells = getattr(spec, table.name)
+        noun, codes = _CODE_DOMAINS.get(table.name, (None, None))
         for key, n in cells.items() if isinstance(cells, dict) else ():
+            code = key[0] if isinstance(key, tuple) else key
+            if codes is not None and code not in codes:
+                yield f"{noun} code {code} outside {codes[0]}-{codes[-1]}"
             split = zip(((key, t) for t in TreatmentStrategy), n) if isinstance(n, tuple) else [(key, n)]
             for cell, count in split:
                 if count < 0:
@@ -227,8 +243,6 @@ class _EpiCell:
     profile: str
 
 
-_CLASS_CODES = [c.value for c in CaseClassification]
-_POSITIVE_CODES = [c.value for c in CaseClassification if is_positive(c)]
 _LAB = CaseClassification.CONFIRMED_BY_LAB.value
 # A hospitalized case's flags; an ambulatory case's is NOT_APPLICABLE, and its cell comes first.
 _HOSPITAL_FLAGS = (CodedFlag.YES, CodedFlag.NO, CodedFlag.IGNORED, CodedFlag.UNSPECIFIED)
@@ -253,32 +267,26 @@ def _fill_in_order(cell_sizes: list[int], amounts: list[tuple[object, int]]) -> 
     return out
 
 
+def _of_sex(table: dict, sex: Sex, members: Iterable, sex_first: bool = False) -> dict:
+    """Each member's count of ``sex`` in ``table``, in member order; the table is keyed
+    (member, sex), or (sex, member) with ``sex_first``."""
+    return {m: table.get((sex, m) if sex_first else (m, sex), 0) for m in members}
+
+
 def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[int] | None, list[int] | None]:
-    conflicts: list[str] = []
+    conflicts = list(_bad_cells(spec))
+    if conflicts:
+        raise InconsistentMarginals(conflicts)
     cells: list[tuple[_EpiCell, int]] = []
     total_amb = 0
     total_hosp = 0
 
-    for code, _sex in spec.classification_sex:
-        if code not in _CLASS_CODES:
-            conflicts.append(f"classification code {code} outside {_CLASS_CODES[0]}-{_CLASS_CODES[-1]}")
-    conflicts.extend(_negative_cells(spec))
-    if conflicts:
-        raise InconsistentMarginals(conflicts)
-
-    sexes = [s for s in Sex
-             if any(sex is s for (_, sex) in spec.classification_sex)]
-
-    for sex in sexes:
-        cls = dict.fromkeys(_CLASS_CODES, 0)
-        for (code, s), n in spec.classification_sex.items():
-            if s is sex:
-                cls[code] += n
+    for sex in Sex:
+        cls = _of_sex(spec.classification_sex, sex, _CLASS_CODES)
         positives = sum(cls[c] for c in _POSITIVE_CODES)
 
         if spec.treatment_sex is not None:
-            amb = spec.treatment_sex.get((sex, TreatmentStrategy.AMBULATORY), 0)
-            hosp = spec.treatment_sex.get((sex, TreatmentStrategy.HOSPITALIZED), 0)
+            amb, hosp = _of_sex(spec.treatment_sex, sex, TreatmentStrategy, sex_first=True).values()
             if amb + hosp != positives:
                 conflicts.append(
                     f"{sex.value}: treatment total {amb + hosp} != positives {positives}"
@@ -288,7 +296,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
             amb, hosp = positives, 0
 
         if spec.intubation_sex is not None:
-            tube = {f: spec.intubation_sex.get((f, sex), 0) for f in CodedFlag}
+            tube = _of_sex(spec.intubation_sex, sex, CodedFlag)
             if tube[CodedFlag.NOT_APPLICABLE] != amb:
                 conflicts.append(
                     f"{sex.value}: intubation not_applicable {tube[CodedFlag.NOT_APPLICABLE]}"
@@ -304,11 +312,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
             tube[CodedFlag.NO] = hosp
             tube[CodedFlag.NOT_APPLICABLE] = amb
 
-        death_cls = dict.fromkeys(_POSITIVE_CODES, 0)
-        if spec.deaths_classification_sex is not None:
-            for (code, s), n in spec.deaths_classification_sex.items():
-                if s is sex:
-                    death_cls[code] += n
+        death_cls = _of_sex(spec.deaths_classification_sex or {}, sex, _POSITIVE_CODES)
         deaths = sum(death_cls.values())
         for c in _POSITIVE_CODES:
             if death_cls[c] > cls[c]:
@@ -317,7 +321,7 @@ def _plan_epi(spec: EpiMarginalSpec) -> tuple[list[tuple[_EpiCell, int]], list[i
                 )
 
         if spec.deaths_icu_sex is not None:
-            dead = {f: spec.deaths_icu_sex.get((f, sex), 0) for f in CodedFlag}
+            dead = _of_sex(spec.deaths_icu_sex, sex, CodedFlag)
             if spec.deaths_classification_sex is None:
                 deaths = sum(dead.values())
                 death_cls[_LAB] = deaths
@@ -602,11 +606,33 @@ def _spread(column: list, members: list[int], amounts: Iterable[tuple[object, in
         at += n
 
 
+def _deal(cells: dict[tuple[str, str], int], by_clade: dict[str, list[int]], column: list, conflicts: list[str],
+          table: str, quotas: str, from_back: bool = False) -> tuple[dict[str, int], dict[str, list[int]]]:
+    """Set ``column`` to each ``(value, clade): n`` cell's value at the next n of the clade's
+    samples, from the front or the back; an unknown clade or an overflow is a conflict. Returns
+    the count dealt per clade, and each value's samples in the order dealt."""
+    dealt = dict.fromkeys(by_clade, 0)
+    given: dict[str, list[int]] = {}
+    for (value, clade), n in cells.items():
+        members = by_clade.get(clade)
+        if members is None:
+            conflicts.append(f"{table} names unknown clade {clade!r}")
+        elif dealt[clade] + n > len(members):
+            conflicts.append(f"{quotas} for clade {clade} exceed its {len(members)} samples")
+        else:
+            at = len(members) - dealt[clade] - n if from_back else dealt[clade]
+            dealt[clade] += n
+            taken = members[at:at + n]
+            _spread(column, taken, [(value, n)])
+            given.setdefault(value, []).extend(taken)
+    return dealt, given
+
+
 def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str],
                         cols: _GenomicColumns) -> None:
     """Append one block's samples to ``cols``; conflicts are appended, not raised.
     A block with a negative cell is not planned."""
-    negative = [f"{label}: {conflict}" for conflict in _negative_cells(block)]
+    negative = [f"{label}: {conflict}" for conflict in _bad_cells(block)]
     if negative:
         conflicts.extend(negative)
         return
@@ -625,53 +651,23 @@ def _plan_genomic_block(label: str, block: GenomicBlockSpec, conflicts: list[str
     cols.vaccine.extend(repeat("", size))
 
     if block.status_clade is not None:
-        cursor = dict.fromkeys(by_clade, 0)
-        for (status, clade), n in block.status_clade.items():
-            members = by_clade.get(clade)
-            if members is None:
-                conflicts.append(f"{label}: status table names unknown clade {clade!r}")
-                continue
-            at = cursor[clade]
-            if at + n > len(members):
-                conflicts.append(
-                    f"{label}: statuses for clade {clade} exceed its {len(members)} samples"
-                )
-                continue
-            for i in members[at:at + n]:
-                cols.status[i] = status
-            cursor[clade] = at + n
-        for clade, at in sorted(cursor.items()):
+        dealt, _ = _deal(block.status_clade, by_clade, cols.status, conflicts,
+                         f"{label}: status table", f"{label}: statuses")
+        for clade, at in sorted(dealt.items()):
             if at != len(by_clade[clade]):
                 conflicts.append(
                     f"{label}: statuses cover {at} of {len(by_clade[clade])} clade-{clade} samples"
                 )
 
-    state_rows: dict[str, list[int]] = {}
-    if block.state_clade is not None:
-        # Assign divisions from the tail of each clade group so the
-        # status/state joint varies instead of pinning states to the first
-        # statuses; no marginal constrains that joint.
-        cursor = {clade: len(members) for clade, members in by_clade.items()}
-        for (state, clade), n in block.state_clade.items():
-            members = by_clade.get(clade)
-            if members is None:
-                conflicts.append(f"{label}: state table names unknown clade {clade!r}")
-                continue
-            at = cursor[clade] - n
-            if at < 0:
-                conflicts.append(
-                    f"{label}: state quotas for clade {clade} exceed its"
-                    f" {len(members)} samples"
-                )
-                continue
-            taken = members[at:cursor[clade]]
-            for i in taken:
-                cols.division[i] = state
-            cursor[clade] = at
-            state_rows.setdefault(state, []).extend(taken)
-
-    for state in sorted(state_rows):
-        members = state_rows[state]
+    # Divisions are dealt from the tail of each clade group so the status/state
+    # joint varies instead of pinning states to the first statuses; no marginal
+    # constrains that joint.
+    _, state_rows = _deal(block.state_clade or {}, by_clade, cols.division, conflicts,
+                          f"{label}: state table", f"{label}: state quotas", from_back=True)
+    # Every state a demographic table names is checked, dealt samples or none.
+    named = (block.state_sex, block.state_vaccine, block.state_age_sex)
+    for state in sorted(state_rows.keys() | {key[0] for table in named if table for key in table}):
+        members = state_rows.get(state, [])
         if block.state_sex is not None:
             wanted = sum(n for (s, _), n in block.state_sex.items() if s == state)
             if wanted != len(members):

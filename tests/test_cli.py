@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from episurv import _shard, fixtures
+from episurv import _shard, cli, fixtures
 from episurv.cli import _FATALITY_NOTE, main
 from episurv.fixtures import generate_fixture, load_preset
 from episurv.ingest import ingest_gisaid, ingest_sveerv
@@ -154,6 +154,10 @@ class TestUsageErrors:
         assert "--preset is required" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the input was opened")
+
+
 class TestDataErrors:
     def test_missing_input_file(self, capsys):
         assert main(["validate", "-i", "/nonexistent/cases.csv"]) == 2
@@ -185,6 +189,24 @@ class TestDataErrors:
         assert captured.out == ""
         assert captured.err == "episurv: error: smoke preset takes at most 100000000 rows\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [["validate"], ["epi-report", "--table", "t1"], ["genomic-report"], ["rank"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("out, error", [
+        ("missing/out.tsv", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+        ("cases.csv/out.tsv", "[Errno 20] Not a directory"),
+    ], ids=["missing directory", "directory", "file as directory"])
+    def test_an_unusable_out_fails_before_reading(self, argv, out, error, epi_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_open", _never)
+        before = sorted(tmp_path.rglob("*"))
+        target = str(tmp_path / out)
+        assert main([*argv, "-i", epi_file, "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"episurv: error: {error}: {target!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "cases.csv").read_bytes().startswith(b"ENTIDAD_RES,")
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["epi-report"], ["validate", "--kind", "gisaid"], ["genomic-report"],
@@ -301,6 +323,17 @@ class TestEpiReport:
         assert main(["epi-report", "-i", epi_file, "--table", "t1",
                      "--onset-from", "2021-07-02", "--onset-to", "2021-07-02"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "\ttotal\t0\t0\t0\t0"
+
+    def test_out_may_be_a_dash_or_the_input(self, epi_file, capsys):
+        argv = ["epi-report", "-i", epi_file, "--table", "t1"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        assert main([*argv, "-o", "-"]) == 0
+        assert capsys.readouterr().out == table
+        assert main([*argv, "-o", epi_file]) == 0
+        assert capsys.readouterr().out == ""
+        with open(epi_file) as f:
+            assert f.read() == table
 
     def test_an_empty_group_by_is_the_national_table(self, epi_file, capsys):
         assert main(["epi-report", "-i", epi_file]) == 0
@@ -495,8 +528,36 @@ class TestGenomicReport:
             return capsys.readouterr().out
 
         assert out(label) == out(canonical)
-        if table == "t9":  # both variants have samples; an unknown label has none
-            assert out(label) != out("Mystery")
+        if table == "t9":  # both variants have samples
+            assert len(out(label).splitlines()) > 1
+
+    @pytest.mark.parametrize("argv, error", [
+        *[(["--table", table, "--label", "Omicron"],
+           "--label 'Omicron' is not in the catalog (expected Alpha, Beta, Gamma, Delta, Eta, Iota, Kappa,"
+           " Lambda, Mu)") for table in ("t9", "t10", "t11", "t12", "t13")],
+        (["--table", "t9", "--label", "Delta", "--catalog", "CATALOG"],
+         "--label 'Delta' is not in the catalog (expected Homegrown)"),
+        (["--label", "Delta"], "--label applies only to --table t9, t10, t11, t12, t13"),
+        (["--table", "t8", "--label", "Omicron"], "--label applies only to --table t9, t10, t11, t12, t13"),
+    ], ids=["t9", "t10", "t11", "t12", "t13", "catalog", "g3-shares", "t8"])
+    def test_a_label_that_does_not_apply_is_refused_before_reading(self, argv, error, gisaid_file, tmp_path,
+                                                                    capsys, monkeypatch):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("who_label,category,clades,pango_pattern\nHomegrown,VOI,GK,B.1.1.519\n")
+        monkeypatch.setattr(cli, "_open", _never)
+        argv = [str(catalog) if arg == "CATALOG" else arg for arg in argv]
+        assert main(["genomic-report", "-i", gisaid_file, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == \
+            ["episurv genomic-report: error: " + error]
+
+    def test_a_label_in_an_override_catalog_is_accepted(self, gisaid_file, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("who_label,category,clades,pango_pattern\nHomegrown,VOI,GK,B.1.1.519\n")
+        assert main(["genomic-report", "-i", gisaid_file, "--catalog", str(catalog),
+                     "--table", "t9", "--label", "homegrown"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["Ambulatorio\tmoderate\tGK\t1"]
 
     def test_t11_states_flag(self, gisaid_file, capsys):
         assert main(["genomic-report", "-i", gisaid_file, "--table", "t11",

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from episurv.fixtures import (
     EpiMarginalSpec,
@@ -26,7 +27,17 @@ from episurv.fixtures import (
     _random_values,
 )
 from episurv.ingest import ingest_gisaid, ingest_sveerv
-from episurv.metrics import AgeGroup, CaseCounts, age_group
+from episurv.metrics import (
+    AgeGroup,
+    CaseCounts,
+    age_group,
+    classification_sex_tally,
+    death_classification_sex_tally,
+    death_icu_sex_tally,
+    intubation_sex_tally,
+    state_treatment_tally,
+    treatment_sex_tally,
+)
 from episurv.schema import CodedFlag, Sex, TreatmentStrategy
 
 F, M = Sex.FEMALE, Sex.MALE
@@ -138,11 +149,83 @@ class TestEpiConflicts:
         assert exc.value.conflicts == conflicts
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, conflicts", [
+        ({"treatment_sex": {(F, AMB): 5, (M, AMB): 3}}, ["male: treatment total 3 != positives 0"]),
+        ({"intubation_sex": {(CodedFlag.NOT_APPLICABLE, F): 5, (CodedFlag.NOT_APPLICABLE, M): 2}},
+         ["male: intubation not_applicable 2 != ambulatory 0"]),
+        ({"deaths_icu_sex": {(CodedFlag.NOT_APPLICABLE, M): 1}},
+         ["male: deaths 1 > class-3 cases 0", "male: ambulatory deaths 1 > ambulatory positives 0"]),
+        ({"deaths_classification_sex": {(3, M): 1}},
+         ["male: class-3 deaths 1 > class-3 cases 0", "male: ambulatory deaths 1 > ambulatory positives 0"]),
+        ({"deaths_classification_sex": {(7, F): 1, (9, M): 0}},
+         ["deaths classification code 7 outside 1-3", "deaths classification code 9 outside 1-3"]),
+        ({"state_treatment": {40: (5, 0)}}, ["state code 40 outside 1-32"]),
+        ({"state_treatment": {21: (5, 0), 0: (0, 0)}}, ["state code 0 outside 1-32"]),
+    ], ids=["treatment of an absent sex", "intubation of an absent sex", "ICU deaths of an absent sex",
+            "class deaths of an absent sex", "deaths class", "state 40", "state 0"])
+    def test_a_cell_that_no_row_can_hold_is_a_conflict(self, overrides, conflicts):
+        buf = io.BytesIO()
+        with pytest.raises(InconsistentMarginals) as exc:
+            generate_epi_fixture(epi_spec(**overrides), buf)
+        assert exc.value.conflicts == conflicts
+        assert buf.getvalue() == b""
+
     def test_message_joins_conflicts(self):
         with pytest.raises(InconsistentMarginals) as exc:
             generate_epi_fixture(epi_spec(classification_sex={(0, F): 1, (8, F): 1}))
         assert ";" in str(exc.value)
         assert isinstance(exc.value, ValueError)
+
+
+def _table(*parts):
+    """Small tables keyed by ``parts``, 0-3 a cell."""
+    return st.dictionaries(st.tuples(*parts), st.integers(0, 3), max_size=4)
+
+
+_CLASSES = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9])
+_SEXES = st.sampled_from(list(Sex))
+_FLAGS = st.sampled_from(list(CodedFlag))
+
+
+@given(
+    classification_sex=_table(_CLASSES, _SEXES),
+    treatment_sex=st.none() | _table(_SEXES, st.sampled_from(list(TreatmentStrategy))),
+    state_treatment=st.none() | st.dictionaries(st.sampled_from([1, 21, 32, 40]),
+                                                st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3),
+    intubation_sex=st.none() | _table(_FLAGS, _SEXES),
+    deaths_classification_sex=st.none() | _table(_CLASSES, _SEXES),
+    deaths_icu_sex=st.none() | _table(_FLAGS, _SEXES),
+)
+def test_a_registry_spec_is_refused_or_reproduced(**tables):
+    """A spec raises InconsistentMarginals before any byte, or its file ingests
+    every row and gives back each table it names through the public tallies."""
+    spec = EpiMarginalSpec(**tables)
+    buf = io.BytesIO()
+    try:
+        generate_epi_fixture(spec, buf)
+    except InconsistentMarginals:
+        assert buf.getvalue() == b""
+        return
+    stream = ingest_sveerv(buf.getvalue())
+    records = list(stream.records())
+    assert stream.stats.rows_rejected == 0
+    assert len(records) == sum(spec.classification_sex.values())
+
+    def by_code(tally):
+        return {(c.value, sex): n for (c, sex), n in tally.items()}
+
+    tallies = {
+        "classification_sex": by_code(classification_sex_tally(records)),
+        "treatment_sex": treatment_sex_tally(records),
+        "state_treatment": {state: tuple(split) for state, split in state_treatment_tally(records).items()},
+        "intubation_sex": intubation_sex_tally(records),
+        "deaths_classification_sex": by_code(death_classification_sex_tally(records)),
+        "deaths_icu_sex": death_icu_sex_tally(records),
+    }
+    for name, tally in tallies.items():
+        table = getattr(spec, name)
+        if table is not None:
+            assert dict(tally) == {key: n for key, n in table.items() if n not in (0, (0, 0))}, name
 
 
 class TestEpiGeneration:
@@ -296,6 +379,16 @@ class TestGenomicConflicts:
             state_vaccine={("Puebla", "Pfizer"): 3},
         ))
         assert msgs == ["Delta/Puebla: vaccine doses 3 exceed state samples 2"]
+
+    @pytest.mark.parametrize("overrides, conflict", [
+        ({"state_sex": {("Puebla", F): 1}}, "Delta/Puebla: sex total 1 != state samples 0"),
+        ({"state_vaccine": {("Puebla", "Pfizer"): 1}}, "Delta/Puebla: vaccine doses 1 exceed state samples 0"),
+        ({"state_age_sex": {("Puebla", AgeGroup.Y0_20, F): 1}}, "Delta/Puebla: age x sex total 1 != state samples 0"),
+        ({"state_clade": {("Hidalgo", "GK"): 2}, "state_sex": {("Hidalgo", F): 2, ("Puebla", M): 1}},
+         "Delta/Puebla: sex total 1 != state samples 0"),
+    ], ids=["sex", "vaccine", "age x sex", "beside a planned state"])
+    def test_a_state_with_no_planned_samples_is_a_conflict(self, overrides, conflict):
+        assert conflicts_of(one_block(**overrides)) == [conflict]
 
     def test_a_negative_cell_is_a_conflict_before_any_byte(self, tmp_path):
         spec = GenomicMarginalSpec(blocks={

@@ -9,7 +9,8 @@ and ``fixture-gen`` writes synthetic datasets from shipped presets.
 Every table is rendered the same way, by ``_cmd_table``: it opens the input
 as the subcommand's stream kind, computes the table's data by its entry in
 ``_TABLES``, renders it and writes the chunks as they come. ``_TABLES`` is
-the one place that ties a table to its subcommand and its producer.
+the one place that ties a table to its subcommand, the options it reads and
+its producer.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, malformed
 CSV, missing columns, inconsistent marginals, unknown preset), 130 interrupted.
@@ -79,13 +80,13 @@ class _Parser(argparse.ArgumentParser):
 # argparse prints as it is: a ValueError would be reported under the name
 # of the function.
 
-def _list_of(decode: Callable[[str], object], error: str, collect: Callable = frozenset):
+def _list_of(decode: Callable[[str], object], error: str, collect: Callable = frozenset, empty=None):
     """The type of a comma-list option: its non-blank tokens, stripped, each
     decoded by ``decode`` and the values collected by ``collect``. No tokens
-    parse to None, which means no filter. A token that ``decode`` refuses
-    with ValueError or KeyError is reported as ``error`` formatted with the
-    token's repr; a decoder with a message of its own raises
-    ArgumentTypeError."""
+    parse to ``empty``, by default None, which means no filter. A token that
+    ``decode`` refuses with ValueError or KeyError is reported as ``error``
+    formatted with the token's repr; a decoder with a message of its own
+    raises ArgumentTypeError."""
     def parse(text: str):
         values = []
         for tok in filter(None, map(str.strip, text.split(","))):
@@ -93,7 +94,7 @@ def _list_of(decode: Callable[[str], object], error: str, collect: Callable = fr
                 values.append(decode(tok))
             except (KeyError, ValueError):
                 raise argparse.ArgumentTypeError(error.format(tok)) from None
-        return collect(values) if values else None
+        return collect(values) if values else empty
     return parse
 
 
@@ -114,7 +115,7 @@ _sexes = _list_of(lambda tok: Sex(tok.casefold()),
                   f"unknown sex {{!r}} (expected {', '.join(sex.value for sex in Sex)})")
 _dimensions = _list_of(lambda tok: _DIMENSIONS[tok.casefold().replace("_", "-")],
                        f"unknown dimension {{!r}} (expected {', '.join(_DIMENSIONS)})", tuple)
-_names = _list_of(str, "", list)
+_names = _list_of(str, "", list, empty=())  # an empty list, given, is not the default
 
 
 def _date(text: str) -> date:
@@ -201,8 +202,8 @@ def _strata(stream, args, group_by=("state",)) -> dict[StratumKey, MetricsReport
     """A registry table's strata by ``group_by``: the per-state charts keep
     the default."""
     return stratified_report(stream, _cohort_from(args), group_by,
-                             SeverityCriterion(args.severity_rule),
-                             PositivityMode(args.positivity))
+                             SeverityCriterion(args.severity_rule or SeverityCriterion.ICU_AND_INTUBATION),
+                             PositivityMode(args.positivity or PositivityMode.AGGREGATE))
 
 
 def _label(args) -> str:
@@ -210,59 +211,60 @@ def _label(args) -> str:
 
 
 def _summary(stream, args):
-    return state_summary(stream, args.catalog, _label(args), args.states or ())
+    states = ("Puebla", "Hidalgo", "Veracruz", "Oaxaca") if args.states is None else args.states
+    return state_summary(stream, args.catalog, _label(args), states)
 
 
-# Every table, with the subcommand that renders it and what computes its data
-# from the open stream and the parsed arguments: the one place that ties a
-# table to its producer. A subcommand's --table choices are its tables here,
-# in this order.
-_TABLES: dict[TableId, tuple[str, Callable]] = {
-    TableId.T1: ("epi-report", _tally(classification_sex_tally)),
-    TableId.T2: ("epi-report", _tally(classification_sex_tally)),
-    TableId.T3: ("epi-report", _tally(treatment_sex_tally)),
-    TableId.T4: ("epi-report", _tally(state_treatment_tally)),
-    TableId.T5: ("epi-report", _tally(intubation_sex_tally)),
-    TableId.T6: ("epi-report", _tally(death_classification_sex_tally)),
-    TableId.T7: ("epi-report", _tally(death_icu_sex_tally)),
-    TableId.METRICS: ("epi-report", lambda stream, args: _strata(stream, args, args.group_by or ())),
-    TableId.COMORBIDITY_PROFILE: ("epi-report", lambda stream, args: comorbidity_profile(
+# Every table, with the subcommand that renders it, the options its table
+# reads (by dest) and what computes its data from the open stream and the
+# parsed arguments: the one place that ties a table to its producer. A
+# subcommand's --table choices are its tables here, in this order. rank
+# reads both indicator settings, whichever --metric it ranks by.
+_TABLES: dict[TableId, tuple[str, tuple[str, ...], Callable]] = {
+    TableId.T1: ("epi-report", (), _tally(classification_sex_tally)),
+    TableId.T2: ("epi-report", (), _tally(classification_sex_tally)),
+    TableId.T3: ("epi-report", (), _tally(treatment_sex_tally)),
+    TableId.T4: ("epi-report", (), _tally(state_treatment_tally)),
+    TableId.T5: ("epi-report", (), _tally(intubation_sex_tally)),
+    TableId.T6: ("epi-report", (), _tally(death_classification_sex_tally)),
+    TableId.T7: ("epi-report", (), _tally(death_icu_sex_tally)),
+    TableId.METRICS: ("epi-report", ("group_by", "severity_rule", "positivity"),
+                      lambda stream, args: _strata(stream, args, args.group_by or ())),
+    TableId.COMORBIDITY_PROFILE: ("epi-report", ("subcohort",), lambda stream, args: comorbidity_profile(
         stream, _cohort_from(args), Subcohort(args.subcohort or Subcohort.DEATHS_ICU_INTUBATED))),
-    TableId.G3_SHARES: ("genomic-report", lambda stream, args: variant_shares(stream, args.catalog)),
-    TableId.T8: ("genomic-report", lambda stream, args: full_crosstab(stream, args.catalog)),
-    TableId.T9: ("genomic-report", lambda stream, args: status_crosstab(stream, args.catalog, _label(args))),
-    TableId.T10: ("genomic-report", _summary),
-    TableId.T11: ("genomic-report", _summary),
-    TableId.T12: ("genomic-report", _summary),
-    TableId.T13: ("genomic-report", _summary),
-    TableId.RANK: ("rank", lambda stream, args: (RankMetric(args.metric), _strata(stream, args))),
-    TableId.G4_SCATTER: ("scatter", _strata),
-    TableId.G5_STACK: ("severity", _strata),
+    TableId.G3_SHARES: ("genomic-report", (), lambda stream, args: variant_shares(stream, args.catalog)),
+    TableId.T8: ("genomic-report", (), lambda stream, args: full_crosstab(stream, args.catalog)),
+    TableId.T9: ("genomic-report", ("label",),
+                 lambda stream, args: status_crosstab(stream, args.catalog, _label(args))),
+    TableId.T10: ("genomic-report", ("label", "states"), _summary),
+    TableId.T11: ("genomic-report", ("label", "states"), _summary),
+    TableId.T12: ("genomic-report", ("label", "states"), _summary),
+    TableId.T13: ("genomic-report", ("label", "states"), _summary),
+    TableId.RANK: ("rank", ("severity_rule", "positivity"),
+                   lambda stream, args: (RankMetric(args.metric), _strata(stream, args))),
+    TableId.G4_SCATTER: ("scatter", ("positivity",), _strata),
+    TableId.G5_STACK: ("severity", ("severity_rule",), _strata),
 }
 
-
-# The tables of one variant, which --label names.
-_LABEL_TABLES = (TableId.T9, TableId.T10, TableId.T11, TableId.T12, TableId.T13)
+# The options, by stream kind, that some of its tables read and others do
+# not. Given with a table whose entry above does not name it, one is a usage
+# error. By kind, because the registry --states, which every registry table
+# reads, shares its dest with the genomic one.
+_TABLE_OPTIONS = {"sveerv": ("group_by", "subcohort", "severity_rule", "positivity"),
+                  "gisaid": ("label", "states")}
 
 
 def _option_error(args, table: TableId) -> str | None:
-    """Why a table's options do not fit together or with the loaded catalog, if they do not."""
-    if args.kind == "gisaid":
-        if args.label is None:
-            return None
-        if table not in _LABEL_TABLES:
-            return f"--label applies only to --table {', '.join(t.value for t in _LABEL_TABLES)}"
-        if args.catalog.get(args.label) is None:
-            labels = ", ".join(v.who_label for v in args.catalog.variants)
-            return f"--label {args.label!r} is not in the catalog (expected {labels})"
-        return None
-    if args.onset_from is not None and args.onset_to is not None and args.onset_from > args.onset_to:
+    """Why a table's options do not fit the table, each other or the loaded catalog, if they do not."""
+    if args.kind == "sveerv" and (args.onset_from or date.min) > (args.onset_to or date.max):
         return f"--onset-from {args.onset_from} is later than --onset-to {args.onset_to}"
-    if args.command == "epi-report":  # the only command with these options
-        if args.group_by is not None and table is not TableId.METRICS:
-            return "--group-by applies only to --table metrics"
-        if args.subcohort is not None and table is not TableId.COMORBIDITY_PROFILE:
-            return "--subcohort applies only to --table comorbidity-profile"
+    for dest in _TABLE_OPTIONS[args.kind]:
+        if getattr(args, dest, None) is not None and dest not in _TABLES[table][1]:
+            readers = ", ".join(t.value for t, (_, reads, _) in _TABLES.items() if dest in reads)
+            return f"--{dest.replace('_', '-')} applies only to --table {readers}"
+    if args.kind == "gisaid" and args.label is not None and args.catalog.get(args.label) is None:
+        labels = ", ".join(v.who_label for v in args.catalog.variants)
+        return f"--label {args.label!r} is not in the catalog (expected {labels})"
     return None
 
 
@@ -274,7 +276,7 @@ def _cmd_table(args) -> int:
         return _usage_error(args.parser, message)
     _check_out(args.out)
     stream = _open(args)
-    data = _TABLES[table][1](stream, args)
+    data = _TABLES[table][2](stream, args)
     chunks = render_chunks(table, data, args.format)
     if table is TableId.METRICS:
         national = data[StratumKey()].fatality_pct
@@ -349,13 +351,9 @@ def _add_registry_options(p: argparse.ArgumentParser) -> None:
                    metavar="DATE", help="inclusive lower bound on symptom onset")
     p.add_argument("--onset-to", type=_date, default=None,
                    metavar="DATE", help="inclusive upper bound on symptom onset")
-    p.add_argument("--severity-rule",
-                   choices=tuple(c.value for c in SeverityCriterion),
-                   default=SeverityCriterion.ICU_AND_INTUBATION.value,
+    p.add_argument("--severity-rule", choices=tuple(c.value for c in SeverityCriterion), default=None,
                    help="what counts as severe for the typology (default icu-and-intubation)")
-    p.add_argument("--positivity",
-                   choices=tuple(m.value for m in PositivityMode),
-                   default=PositivityMode.AGGREGATE.value,
+    p.add_argument("--positivity", choices=tuple(m.value for m in PositivityMode), default=None,
                    help="positivity denominator (default aggregate)")
 
 
@@ -368,7 +366,7 @@ def _add_table_command(sub, name: str, help: str, kind: str = "sveerv",
     _add_io(p, gisaid=kind == "gisaid")
     if kind == "sveerv":
         _add_registry_options(p)
-    tables = tuple(table.value for table, (command, _) in _TABLES.items() if command == name)
+    tables = tuple(table.value for table, (command, *_) in _TABLES.items() if command == name)
     if default is None:
         p.set_defaults(table=tables[0])
     else:
@@ -404,9 +402,8 @@ def _build_parser() -> _Parser:
                            kind="gisaid", default="g3-shares")
     p.add_argument("--label", default=None,
                    help="variant label for t9-t13 (default Delta)")
-    p.add_argument("--states", type=_names,
-                   default=["Puebla", "Hidalgo", "Veracruz", "Oaxaca"],
-                   metavar="NAMES", help="state names for t10-t13, comma-separated")
+    p.add_argument("--states", type=_names, default=None, metavar="NAMES",
+                   help="state names for t10-t13, comma-separated")
     p.add_argument("--catalog", default=None,
                    help="variant catalog file overriding the built-in one")
 

@@ -442,12 +442,13 @@ def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple
         new = set(column).difference(cache)
         if not new:
             continue
-        for raw in new.difference(bad):
-            try:
-                cache[raw] = decoder(raw)
-            except _Reject as exc:
-                bad[raw] = exc.reason, exc.detail
-        new.intersection_update(bad)
+        for raw in new:
+            if raw not in bad:
+                try:
+                    cache[raw] = decoder(raw)
+                except _Reject as exc:
+                    bad[raw] = exc.reason, exc.detail
+        new = {raw for raw in new if raw in bad}  # looked up: set methods would walk all of bad
         for k in compress(range(len(column)), map(new.__contains__, column)):
             rejects.setdefault(kept[k], bad[column[k]])  # an earlier column's reason stands
     if len(rejects) > short:

@@ -571,6 +571,17 @@ class TestGenomicReport:
         assert main(["genomic-report", "-i", gisaid_file, "--table", "t11", "--states="]) == 0
         assert capsys.readouterr().out == "state\tfemale\tmale\tunspecified\ttotal\ntotal\t0\t0\t0\t0\n"
 
+    @pytest.mark.parametrize("table", ["t10", "t11", "t12", "t13"])
+    def test_without_states_a_summary_renders_the_four_default_states(self, table, gisaid_file, capsys):
+        def out(*argv):
+            assert main(["genomic-report", "-i", gisaid_file, "--table", table, *argv]) == 0
+            return capsys.readouterr().out
+
+        assert out() == out("--states", "Puebla,Hidalgo,Veracruz,Oaxaca") != out("--states", "Oaxaca")
+        if table == "t11":  # a row per state, with or without samples
+            assert [line.split("\t")[0] for line in out().splitlines()[1:]] == \
+                ["Puebla", "Hidalgo", "Veracruz", "Oaxaca", "total"]
+
     def test_t12_vaccines(self, gisaid_file, capsys):
         assert main(["genomic-report", "-i", gisaid_file, "--table", "t12",
                      "--states", "Puebla"]) == 0
@@ -708,6 +719,85 @@ def test_a_table_prints_only_its_progress_line_on_stderr(table, annex_epi_path, 
     captured = capsys.readouterr()
     assert captured.out
     assert captured.err == (_FATALITY_NOTE + "\n" if table is TableId.METRICS else "") + progress
+
+
+# The tables that read each option that only some tables of a stream kind
+# read, and a value the option accepts.
+_READERS = {
+    "group_by": ("metrics", "sex"),
+    "subcohort": ("comorbidity-profile", "deaths-positive"),
+    "severity_rule": ("metrics, rank, g5-stack", "icu-only"),
+    "positivity": ("metrics, rank, g4-scatter", "lab-negative"),
+    "label": ("t9, t10, t11, t12, t13", "Delta"),
+    "states": ("t10, t11, t12, t13", "Puebla"),
+}
+
+
+def _args(table: TableId):
+    """The parsed arguments of the command that renders ``table``."""
+    return cli._build_parser().parse_args([*_TABLE_COMMANDS[table], "-i", "unread"])
+
+
+def _given(dest: str) -> list[str]:
+    return ["--" + dest.replace("_", "-"), _READERS[dest][1]]
+
+
+class _Opened(Exception):
+    pass
+
+
+def _opened(args):
+    raise _Opened
+
+
+def test_the_catalog_names_options_that_the_tables_command_takes():
+    for table in TableId:
+        args = _args(table)
+        assert all(hasattr(args, dest) and dest in cli._TABLE_OPTIONS[args.kind] for dest in cli._TABLES[table][1])
+    assert {dest: ", ".join(t.value for t, (_, reads, _) in cli._TABLES.items() if dest in reads)
+            for kind in cli._TABLE_OPTIONS.values() for dest in kind} == \
+        {dest: readers for dest, (readers, _) in _READERS.items()}
+
+
+@pytest.mark.parametrize("table, dest", [
+    (table, dest) for table in TableId for args in [_args(table)] for dest in cli._TABLE_OPTIONS[args.kind]
+    if hasattr(args, dest) and dest not in cli._TABLES[table][1]], ids=lambda v: getattr(v, "value", v))
+def test_an_option_that_the_table_does_not_read_is_refused_before_reading(table, dest, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_open", _never)
+    argv = _TABLE_COMMANDS[table]
+    assert main([*argv, "-i", "unread", *_given(dest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    lines = captured.err.splitlines()
+    assert [line for line in lines if "error:" in line] == [lines[-1]] == \
+        [f"episurv {argv[0]}: error: {_given(dest)[0]} applies only to --table {_READERS[dest][0]}"]
+
+
+@pytest.mark.parametrize("table, dest", [
+    (table, dest) for table in TableId for dest in cli._TABLES[table][1]], ids=lambda v: getattr(v, "value", v))
+def test_an_option_that_the_table_reads_gets_to_the_input(table, dest, monkeypatch):
+    monkeypatch.setattr(cli, "_open", _opened)
+    with pytest.raises(_Opened):
+        main([*_TABLE_COMMANDS[table], "-i", "unread", *_given(dest)])
+
+
+@pytest.mark.parametrize("argv, option, default, other", [
+    *[(argv, "--severity-rule", "icu-and-intubation", "icu-only")
+      for argv in (["epi-report"], ["rank", "--metric", "tgi3"], ["severity"])],
+    *[(argv, "--positivity", "aggregate", "lab-negative")
+      for argv in (["epi-report"], ["rank", "--metric", "positivity"], ["scatter"])],
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_an_indicator_setting_reaches_each_table_that_reads_it(argv, option, default, other, tmp_path, capsys):
+    """Left out, a setting is its default; given, it changes the table."""
+    path = tmp_path / "cases.csv"
+    path.write_bytes(csv_bytes(row(TIPO_PACIENTE="2", UCI="1", INTUBADO="2"),  # in ICU, not intubated
+                               row(CLASIFICACION_FINAL="6")))                   # a suspect
+
+    def out(*given):
+        assert main([*argv, "-i", str(path), *given]) == 0
+        return capsys.readouterr().out
+
+    assert out() == out(option, default) != out(option, other)
 
 
 class TestFixtureGen:

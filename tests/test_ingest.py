@@ -428,6 +428,28 @@ def test_batch_path_matches_iteration_across_batches():
                   CodedFlag.NOT_APPLICABLE, CodedFlag.YES] == 1
 
 
+def test_screen_looks_up_the_rejected_values_without_walking_them():
+    """A batch's new raw values are looked up in the memo of rejected values:
+    walking the whole memo on each such batch would make a file whose bad
+    values are all distinct cost time quadratic in its rows."""
+    class Unwalkable(dict):
+        def __iter__(self):
+            raise AssertionError("the memo of rejected values was walked")
+
+    def decode(raw):
+        if not raw.isdigit():
+            raise ingest._Reject("BadInteger", f"EDAD={raw!r}")
+        return int(raw)
+
+    cache, bad = {}, Unwalkable()
+    checks = [(0, decode, cache, bad)]
+    assert ingest._screen([["1", "a"], ["x1", "b"]], checks, 2) == (
+        [("1",), ("a",)], {1: ("BadInteger", "EDAD='x1'")})
+    assert ingest._screen([["x1", "c"], ["x2", "d"], ["2", "e"], ["1", "f"]], checks, 2) == (
+        [("2", "1"), ("e", "f")], {0: ("BadInteger", "EDAD='x1'"), 1: ("BadInteger", "EDAD='x2'")})
+    assert (cache, set(bad.keys())) == ({"1": 1, "2": 2}, {"x1", "x2"})
+
+
 # --- one integer rule: leading zeros --------------------------------------------
 
 @pytest.mark.parametrize("column", CODED_COLUMNS)

@@ -75,6 +75,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise SystemExit(_usage_error(self, message))
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11's argparse drops a "--" given as an option's value
+        # (--label=--) and yields [], unchecked by the option's type and
+        # choices; read it as the value it is.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 # The option types below raise argparse.ArgumentTypeError, whose message
 # argparse prints as it is: a ValueError would be reported under the name
@@ -113,9 +123,11 @@ _state_codes = _list_of(_state_code, _NOT_AN_INTEGER)
 _municipality_codes = _list_of(int, _NOT_AN_INTEGER)
 _sexes = _list_of(lambda tok: Sex(tok.casefold()),
                   f"unknown sex {{!r}} (expected {', '.join(sex.value for sex in Sex)})")
+# Given empty, --group-by and the genomic --states parse to (), not to their
+# default None: a table that does not read them refuses them given.
 _dimensions = _list_of(lambda tok: _DIMENSIONS[tok.casefold().replace("_", "-")],
-                       f"unknown dimension {{!r}} (expected {', '.join(_DIMENSIONS)})", tuple)
-_names = _list_of(str, "", list, empty=())  # an empty list, given, is not the default
+                       f"unknown dimension {{!r}} (expected {', '.join(_DIMENSIONS)})", tuple, empty=())
+_names = _list_of(str, "", list, empty=())
 
 
 def _date(text: str) -> date:
@@ -162,8 +174,9 @@ def _write(chunks: Iterable[bytes], out: str | None) -> None:
 
 def _check_out(out: str | None) -> None:
     """Raise the OSError that writing the file ``out`` would, if it is a
-    directory or its directory is missing; checked before the input is read,
-    and without creating or truncating ``out``."""
+    directory, its directory is missing, or ``os.access`` says that ``out``
+    (if it exists) or else its directory is not writable; checked before the
+    input is read, and without creating or truncating ``out``."""
     if out in (None, "-"):
         return
     if os.path.isdir(out):
@@ -172,6 +185,8 @@ def _check_out(out: str | None) -> None:
     if not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
         raise OSError(code, os.strerror(code), out)
+    if not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
 
 
 # --- commands -----------------------------------------------------------------
@@ -254,15 +269,36 @@ _TABLE_OPTIONS = {"sveerv": ("group_by", "subcohort", "severity_rule", "positivi
                   "gisaid": ("label", "states")}
 
 
+def _tables_of(command: str, dest: str | None = None) -> list[str]:
+    """The ids of ``command``'s tables in catalog order, or of those that read ``dest``."""
+    return [t.value for t, (c, reads, _) in _TABLES.items() if c == command and dest in (None, *reads)]
+
+
+def _readers(dest: str) -> str:
+    """The tables that read ``dest``, in catalog order, each named by the
+    command that renders it, with ``--table`` if that has several; the
+    command is left out when it is the only one."""
+    named = {c: f"{c} --table {', '.join(_tables_of(c, dest))}" if len(_tables_of(c)) > 1 else c
+             for c, reads, _ in _TABLES.values() if dest in reads}
+    if len(named) == 1:
+        [(command, name)] = named.items()
+        return name.removeprefix(command + " ")
+    return ", ".join(named.values())
+
+
 def _option_error(args, table: TableId) -> str | None:
-    """Why a table's options do not fit the table, each other or the loaded catalog, if they do not."""
+    """Why a table's options do not fit the table, each other or the
+    catalog, if they do not. A metadata table's catalog is loaded into
+    ``args.catalog`` after the checks that need no file."""
     if args.kind == "sveerv" and (args.onset_from or date.min) > (args.onset_to or date.max):
         return f"--onset-from {args.onset_from} is later than --onset-to {args.onset_to}"
     for dest in _TABLE_OPTIONS[args.kind]:
         if getattr(args, dest, None) is not None and dest not in _TABLES[table][1]:
-            readers = ", ".join(t.value for t, (_, reads, _) in _TABLES.items() if dest in reads)
-            return f"--{dest.replace('_', '-')} applies only to --table {readers}"
-    if args.kind == "gisaid" and args.label is not None and args.catalog.get(args.label) is None:
+            return f"--{dest.replace('_', '-')} applies only to {_readers(dest)}"
+    if args.kind == "sveerv":
+        return None
+    args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
+    if args.label is not None and args.catalog.get(args.label) is None:
         labels = ", ".join(v.who_label for v in args.catalog.variants)
         return f"--label {args.label!r} is not in the catalog (expected {labels})"
     return None
@@ -270,9 +306,7 @@ def _option_error(args, table: TableId) -> str | None:
 
 def _cmd_table(args) -> int:
     table = TableId(args.table)
-    if args.kind == "gisaid":  # before the input: when both are missing, the error names the catalog
-        args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
-    if message := _option_error(args, table):
+    if message := _option_error(args, table):  # before the input, which is read after the catalog
         return _usage_error(args.parser, message)
     _check_out(args.out)
     stream = _open(args)
@@ -366,7 +400,7 @@ def _add_table_command(sub, name: str, help: str, kind: str = "sveerv",
     _add_io(p, gisaid=kind == "gisaid")
     if kind == "sveerv":
         _add_registry_options(p)
-    tables = tuple(table.value for table, (command, *_) in _TABLES.items() if command == name)
+    tables = _tables_of(name)
     if default is None:
         p.set_defaults(table=tables[0])
     else:

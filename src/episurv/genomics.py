@@ -7,7 +7,7 @@ lineage's descendants, e.g. "B.1.617.2+AY.x".
 
 Every table (variant_shares, the crosstabs, state_summary) is a projection
 of one Counter keyed by the decoded dimensions it reads: the lineage's label,
-the requested state a division folds to, the status bucket, the age group.
+the requested state a division folds to, the age group.
 A table takes records, or a GisaidStream, which it counts by the stream's
 batch-columnar fold (GisaidStream.count) without building a SampleRecord.
 """
@@ -378,17 +378,14 @@ class StateBlock:
     sexes: Counter[Sex] = field(default_factory=Counter)
     vaccines: Counter[str] = field(default_factory=Counter)
     age_sex: Counter[tuple[AgeGroup, Sex]] = field(default_factory=Counter)
-    status_buckets: Counter[StatusBucket] = field(default_factory=Counter)
 
-    def _add(self, status: StatusBucket, clade: str, sex: Sex, vaccine: str | None,
-             group: AgeGroup, n: int) -> None:
+    def _add(self, clade: str, sex: Sex, vaccine: str | None, group: AgeGroup, n: int) -> None:
         self.total += n
         self.clades[clade] += n
         self.sexes[sex] += n
         if vaccine is not None:
             self.vaccines[vaccine] += n
         self.age_sex[group, sex] += n
-        self.status_buckets[status] += n
 
 
 @dataclass
@@ -406,13 +403,13 @@ def state_summary(
     who_label: str = "Delta",
     states: Iterable[str] = (),
 ) -> StateSummary:
-    """Per-state demographic/vaccination/severity blocks for one variant.
+    """Per-state clade, sex, vaccination and age blocks for one variant.
 
     State names match after fold_text normalization; the totals block covers
     exactly the matched states. The blocks are projections of one Counter
-    keyed by requested state name, status bucket, clade, sex, vaccine and
-    age group, so each distinct state and status text is normalized once
-    per call, not once per sample.
+    keyed by requested state name, clade, sex, vaccine and age group, so
+    each distinct state text is normalized once per call, not once per
+    sample.
     """
     wanted = _resolve_label(catalog, who_label)
     order = list(states)
@@ -421,7 +418,6 @@ def state_summary(
     lookup = {fold(name): name for name in order}
     dims = [
         ("state", lambda state: lookup.get(fold(state))),
-        ("patient_status", bucket_status),
         _CLADE, ("sex", None), ("vaccine", None), ("age_years", age_group),
     ]
     totals = StateBlock()

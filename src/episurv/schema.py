@@ -25,11 +25,8 @@ __all__ = [
     "TreatmentStrategy",
     "Sex",
     "SEX_CODES",
-    "SuspectType",
-    "LabSampleStatus",
     "PatientRecord",
     "is_positive",
-    "suspect_type",
 ]
 
 # Registry guard: ages above this are treated as entry errors, not outliers.
@@ -112,22 +109,6 @@ def age_group(age_years: int | None) -> AgeGroup:
     if age_years is None:
         return AgeGroup.UNKNOWN
     return _AGE_GROUPS[bisect_right(AGE_FLOORS, age_years, 1) - 1]
-
-
-class SuspectType(Enum):
-    """Operational suspect-case confirmation routes."""
-
-    BY_ASSOCIATION = 1
-    BY_COMMITTEE = 2
-    BY_LAB = 3
-
-
-class LabSampleStatus(Enum):
-    """Whether a usable laboratory/antigen sample exists for the case."""
-
-    TAKEN = "taken"
-    INVALID = "invalid"
-    NOT_TAKEN = "not_taken"
 
 
 # Comorbidity record fields in canonical order, with their registry columns.
@@ -226,30 +207,3 @@ def is_positive(classification: CaseClassification) -> bool:
     """True for the three confirmation routes (codes 1-3)."""
     return classification in POSITIVE_CLASSIFICATIONS
 
-
-def suspect_type(
-    record: PatientRecord,
-    lab_sample: LabSampleStatus,
-    epi_association: bool,
-) -> SuspectType | None:
-    """Resolve the operational confirmation route for a suspect case.
-
-    Rules form an ordered cascade:
-
-    1. BY_ASSOCIATION: the case reported contact with a confirmed case and no
-       usable sample exists (not taken, or taken but invalid).
-    2. BY_COMMITTEE: the case died and no usable sample exists.
-    3. BY_LAB: a usable sample exists and the case classified positive,
-       regardless of epidemiological association.
-
-    Returns None when no rule applies. Callers should pass suspect or
-    confirmed cases; the function does not reclassify negatives.
-    """
-    usable = lab_sample is LabSampleStatus.TAKEN
-    if epi_association and not usable:
-        return SuspectType.BY_ASSOCIATION
-    if record.died and not usable:
-        return SuspectType.BY_COMMITTEE
-    if usable and is_positive(record.classification):
-        return SuspectType.BY_LAB
-    return None

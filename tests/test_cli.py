@@ -1,16 +1,24 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import threading
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from episurv import _shard, cli, fixtures
 from episurv.cli import _FATALITY_NOTE, main
 from episurv.fixtures import generate_fixture, load_preset
 from episurv.ingest import ingest_gisaid, ingest_sveerv
+from episurv.metrics import SeverityCriterion
 from episurv.report import TableId
 from test_ingest import csv_bytes, gisaid_bytes, grow, row
 from test_sharding import SVEERV_LINES, _assert_no_child_left, _file_bytes, _forks, _run, _shards
@@ -134,14 +142,39 @@ class TestUsageErrors:
          "episurv epi-report: error: --subcohort applies only to --table comorbidity-profile"),
         (["epi-report", "--table", "t4", "--subcohort", "hospitalized-positive"],
          "episurv epi-report: error: --subcohort applies only to --table comorbidity-profile"),
+        *[(["epi-report", "--table", "t1", "--group-by", empty],
+           "episurv epi-report: error: --group-by applies only to --table metrics") for empty in ("", " , ")],
     ], ids=["onset-epi-report", "onset-rank", "onset-scatter", "onset-severity", "group-by-t1",
-            "group-by-comorbidity-profile", "subcohort-metrics", "subcohort-t4"])
+            "group-by-comorbidity-profile", "subcohort-metrics", "subcohort-t4", "group-by-empty-t1",
+            "group-by-blank-t1"])
     def test_options_that_do_not_fit_are_refused_before_reading(self, argv, error, epi_file, tmp_path, capsys):
         for path in (epi_file, str(tmp_path / "missing.csv")):
             assert main([*argv, "-i", path]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("usage: ")
             assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
+
+    def test_an_empty_group_by_prints_the_national_row(self, epi_file, capsys):
+        outs = []
+        for given in ([], ["--group-by", ""]):
+            assert main(["epi-report", "-i", epi_file, *given]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["epi-report", "-i", "unread", "--states=--"], 1),
+        (["epi-report", "-i", "unread", "--format=--"], 1),
+        (["genomic-report", "-i", "unread", "--table", "t9", "--label=--"], 1),
+        (["fixture-gen", "--preset=--"], 2),
+        (["validate", "--input=--"], 2),
+    ], ids=["states", "format", "label", "preset", "input"])
+    def test_a_double_dash_value_is_read_as_itself(self, argv, code):
+        """Python 3.11's argparse drops a value "--" and hands the option an
+        unchecked [], which --label and --preset raised a traceback on."""
+        status, out, err = _outcome(argv)
+        assert (status, out) == (code, b"")
+        assert [line for line in err.splitlines() if ": error: " in line] == [err.splitlines()[-1]]
+        assert "'--'" in err.splitlines()[-1]
 
     @pytest.mark.parametrize("argv", [["validate", "--encoding", "UTF8"],
                                       ["validate", "--encoding", "utf-8-sig"],
@@ -207,6 +240,34 @@ class TestDataErrors:
         assert captured.err == f"episurv: error: {error}: {target!r}\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "cases.csv").read_bytes().startswith(b"ENTIDAD_RES,")
+
+    @pytest.mark.parametrize("argv", [["validate"], ["epi-report", "--table", "t1"], ["genomic-report"], ["rank"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("out, denied", [("new.tsv", "."), ("cases.csv", "cases.csv")],
+                             ids=["directory", "existing file"])
+    def test_an_unwritable_out_fails_before_reading(self, argv, out, denied, epi_file, tmp_path, capsys,
+                                                   monkeypatch):
+        """Running as root ignores permission bits, so os.access is patched
+        to deny writing ``denied`` only."""
+        def access(path, mode):
+            assert mode == os.W_OK
+            return os.path.normpath(path) != str(tmp_path / denied)
+
+        monkeypatch.setattr(cli, "_open", _never)
+        monkeypatch.setattr(os, "access", access)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        target = str(tmp_path / out)
+        assert main([*argv, "-i", epi_file, "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"episurv: error: [Errno 13] Permission denied: {target!r}\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_an_existing_out_needs_no_writable_directory(self, epi_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_open", _opened)
+        monkeypatch.setattr(os, "access", lambda path, mode: os.path.normpath(path) != str(tmp_path))
+        with pytest.raises(_Opened):
+            main(["epi-report", "-i", epi_file, "-o", epi_file])
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["epi-report"], ["validate", "--kind", "gisaid"], ["genomic-report"],
@@ -722,14 +783,14 @@ def test_a_table_prints_only_its_progress_line_on_stderr(table, annex_epi_path, 
 
 
 # The tables that read each option that only some tables of a stream kind
-# read, and a value the option accepts.
+# read, as its refusal names them, and a value the option accepts.
 _READERS = {
-    "group_by": ("metrics", "sex"),
-    "subcohort": ("comorbidity-profile", "deaths-positive"),
-    "severity_rule": ("metrics, rank, g5-stack", "icu-only"),
-    "positivity": ("metrics, rank, g4-scatter", "lab-negative"),
-    "label": ("t9, t10, t11, t12, t13", "Delta"),
-    "states": ("t10, t11, t12, t13", "Puebla"),
+    "group_by": ("--table metrics", "sex"),
+    "subcohort": ("--table comorbidity-profile", "deaths-positive"),
+    "severity_rule": ("epi-report --table metrics, rank, severity", "icu-only"),
+    "positivity": ("epi-report --table metrics, rank, scatter", "lab-negative"),
+    "label": ("--table t9, t10, t11, t12, t13", "Delta"),
+    "states": ("--table t10, t11, t12, t13", "Puebla"),
 }
 
 
@@ -754,8 +815,7 @@ def test_the_catalog_names_options_that_the_tables_command_takes():
     for table in TableId:
         args = _args(table)
         assert all(hasattr(args, dest) and dest in cli._TABLE_OPTIONS[args.kind] for dest in cli._TABLES[table][1])
-    assert {dest: ", ".join(t.value for t, (_, reads, _) in cli._TABLES.items() if dest in reads)
-            for kind in cli._TABLE_OPTIONS.values() for dest in kind} == \
+    assert {dest: cli._readers(dest) for kind in cli._TABLE_OPTIONS.values() for dest in kind} == \
         {dest: readers for dest, (readers, _) in _READERS.items()}
 
 
@@ -770,7 +830,7 @@ def test_an_option_that_the_table_does_not_read_is_refused_before_reading(table,
     assert captured.out == "" and captured.err.startswith("usage: ")
     lines = captured.err.splitlines()
     assert [line for line in lines if "error:" in line] == [lines[-1]] == \
-        [f"episurv {argv[0]}: error: {_given(dest)[0]} applies only to --table {_READERS[dest][0]}"]
+        [f"episurv {argv[0]}: error: {_given(dest)[0]} applies only to {_READERS[dest][0]}"]
 
 
 @pytest.mark.parametrize("table, dest", [
@@ -798,6 +858,21 @@ def test_an_indicator_setting_reaches_each_table_that_reads_it(argv, option, def
         return capsys.readouterr().out
 
     assert out() == out(option, default) != out(option, other)
+
+
+def test_each_severity_rule_prints_its_own_severity_table(tmp_path, capsys):
+    """Among hospitalized positives, one in ICU only, two intubated only, one
+    with both and one with neither: 3, 2, 1 and 4 count as severe under the
+    four rules. The shipped presets write the two flags alike, so there the
+    rules print the same tables."""
+    path = tmp_path / "cases.csv"
+    path.write_bytes(csv_bytes(*(row(TIPO_PACIENTE="2", UCI=icu, INTUBADO=intubated)
+                                 for icu, intubated in (("1", "2"), ("2", "1"), ("2", "1"), ("1", "1"), ("2", "2")))))
+    outs = []
+    for rule in SeverityCriterion:
+        assert main(["severity", "-i", str(path), "--severity-rule", rule.value]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == len(SeverityCriterion) == 4
 
 
 class TestFixtureGen:
@@ -899,3 +974,119 @@ def test_an_interrupt_prints_one_line_and_leaves_no_worker(tmp_path):
     assert err.splitlines() == ["episurv: interrupted"]
     assert len(pids) == 1
     _assert_no_child_left()
+
+
+
+# --- the argv gate ---------------------------------------------------------------
+#
+# Every option of every subcommand, as _build_parser() declares it, drawn with
+# its choices, values of its type and hostile strings. Whatever the argv, the
+# run prints a table or help (exit 0), a usage line and one error line (exit
+# 1) or one ``episurv: error:`` line (exit 2), and never a traceback. The
+# oracle is the table catalog: an option that the table does not read exits 1.
+
+_SUBPARSERS = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+_HOSTILE = ("", " ", ",", " , ", "-", "--", "-1", "0", "1" * 30, "\x00", "é", "\udcff", "x" * 300,
+            "a\nb", "9999-99-99", "NaN", "１", "Delta,", "'\"", "%s%n", "--help")
+_TYPED = {
+    cli._state_codes: ("20", "20,31", " 1 , 32 ", "0", "33", "20,x"),
+    cli._municipality_codes: ("1", "1,2", "-4", "1.5"),
+    cli._sexes: ("female", "Male,unspecified", "other"),
+    cli._dimensions: ("state", "state,sex,age-group", "age_group", "postcode"),
+    cli._names: ("Puebla", "puebla,OAXACA", "Nowhere", "Puebla,,Oaxaca"),
+    cli._date: ("2021-07-01", "2021-02-30", "07/01/2021"),
+    cli._encoding: ("utf-8", "latin-1", "cp1252", "utf-16", "utf_32", "hex", "rot13", "idna", "nope"),
+    cli._delimiter: (",", ";", "\t", "\n", '"', ",,"),
+}
+# The files of a run's own directory that each path option is given ("" is
+# the directory itself); --out may also be "-".
+_FILES = {"input": ("epi.csv", "meta.tsv", "catalog.tsv", "missing.csv", ""),
+          "catalog": ("catalog.tsv", "bad_catalog.tsv", "meta.tsv", "missing.tsv", ""),
+          "out": ("out.txt", "epi.csv", "missing/out.txt", "", "-")}
+_CATALOGS = {"catalog.tsv": "who_label\tcategory\tclades\tpango_pattern\nAlpha\tVOC\tGRY\tB.1.1.7+Q.x\n"
+                            "Delta\tVOC\tG/478K.V1\tB.1.617.2+AY.x\n",
+             "bad_catalog.tsv": "who_label\tcategory\tclades\tpango_pattern\nDelta\tVOX\tG\tB.1.617.2\n"}
+
+
+def _values(action: argparse.Action, here: pathlib.Path):
+    """What ``action`` may be given: a path in ``here`` for a path option,
+    else its choices, values of its type and hostile strings."""
+    if action.dest in _FILES:
+        return st.sampled_from(_FILES[action.dest]).map(lambda name: name if name == "-" else str(here / name))
+    if action.type is int:  # fixture-gen: at most a thousand rows, whatever the seed
+        return st.one_of(st.integers(-5, 1000).map(str), st.sampled_from(("", "1e3", "0x10", "x")))
+    known = [*(action.choices or ()), *_TYPED.get(action.type, ())]
+    if action.dest == "preset":
+        known += ["smoke", " SMOKE", "table1", "annex-epi"]
+    return st.one_of(*([st.sampled_from(known)] if known else []), st.sampled_from(_HOSTILE), st.text(max_size=8))
+
+
+@st.composite
+def _argv(draw, here: pathlib.Path) -> tuple[list[str], dict[str, str | None]]:
+    """A subcommand and some of its options, each once and in a drawn
+    spelling, with the value given to each option by dest (None for a flag)."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    actions = {a.dest: a for a in _SUBPARSERS[command]._actions if a.option_strings}
+    dests = draw(st.lists(st.sampled_from(sorted(actions)), unique=True, max_size=6))
+    if command == "fixture-gen":
+        dests += [] if "rows" in dests else ["rows"]  # without --rows, smoke writes 100k rows
+    elif "input" not in dests and draw(st.integers(0, 9)):
+        dests.append("input")  # nearly always
+    argv, given = [command], {}
+    for dest in dests:
+        option = draw(st.sampled_from(actions[dest].option_strings))
+        value = given[dest] = None if actions[dest].nargs == 0 else draw(_values(actions[dest], here))
+        if value is None:
+            argv.append(option)
+        else:
+            argv += [f"{option}={value}"] if option.startswith("--") and draw(st.booleans()) else [option, value]
+    return argv, given
+
+
+def _outcome(argv: list[str]) -> tuple[int, bytes, str]:
+    """Exit status, stdout bytes and stderr of ``main(argv)`` in this process."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help, or a usage error argparse finds
+            code = exc.code
+        stdout.flush()
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def argv_gate_files(annex_epi_path, annex_gisaid_path) -> dict[str, bytes]:
+    """About 300 lines of each annex input, and two catalogs."""
+    return {"epi.csv": b"".join(annex_epi_path.read_bytes().splitlines(True)[:300]),
+            "meta.tsv": b"".join(annex_gisaid_path.read_bytes().splitlines(True)[:300]),
+            **{name: text.encode() for name, text in _CATALOGS.items()}}
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_argv_prints_a_table_or_one_error(data, argv_gate_files, tmp_path_factory):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        here = pathlib.Path(tmp)
+        for name, content in argv_gate_files.items():
+            (here / name).write_bytes(content)
+        argv, given = data.draw(_argv(here))
+        code, out, err = _outcome(argv)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 0:
+        assert ": error: " not in err
+        assert out or given.get("out", "-") != "-" or "help" in given, argv
+    elif code == 1:
+        assert out == b"" and lines[0].startswith(f"usage: episurv {argv[0]}"), (argv, err)
+        assert [line for line in lines if ": error: " in line] == [lines[-1]], (argv, err)
+        assert lines[-1].startswith(f"episurv {argv[0]}: error: "), (argv, err)
+    else:
+        assert code == 2 and out == b"" and lines == [lines[0]] and lines[0].startswith("episurv: error: "), \
+            (argv, code, err)
+    command = _SUBPARSERS[argv[0]]
+    table = given.get("table", command.get_default("table"))
+    if command.get_default("func") is cli._cmd_table and table in cli._tables_of(argv[0]) and "help" not in given:
+        options = set(cli._TABLE_OPTIONS[command.get_default("kind")])
+        unread = (set(given) & options) - set(cli._TABLES[TableId(table)][1])
+        assert not unread or code == 1, (argv, code, err)

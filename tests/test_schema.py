@@ -1,4 +1,4 @@
-"""The coded domains, the record type and the suspect-type cascade.
+"""The coded domains and the record type.
 
 Each coded domain is decoded in one place, the registry reader's column
 decoders, so the domain tests read one registry row through ``ingest``.
@@ -14,14 +14,11 @@ from episurv.schema import (
     AgeGroup,
     CaseClassification,
     CodedFlag,
-    LabSampleStatus,
     PatientRecord,
     Sex,
-    SuspectType,
     TreatmentStrategy,
     age_group,
     is_positive,
-    suspect_type,
 )
 from test_ingest import csv_bytes, row
 
@@ -95,39 +92,6 @@ def test_is_positive_partition():
 def test_died_property_follows_death_date():
     assert not make_record().died
     assert make_record(death_date=date(2021, 8, 1)).died
-
-
-class TestSuspectType:
-    def test_association_without_usable_sample(self):
-        r = make_record(classification=CaseClassification.SUSPECT)
-        assert suspect_type(r, LabSampleStatus.NOT_TAKEN, True) is SuspectType.BY_ASSOCIATION
-        assert suspect_type(r, LabSampleStatus.INVALID, True) is SuspectType.BY_ASSOCIATION
-
-    def test_association_beats_committee_when_both_apply(self):
-        r = make_record(
-            classification=CaseClassification.SUSPECT,
-            death_date=date(2021, 8, 2),
-        )
-        assert suspect_type(r, LabSampleStatus.NOT_TAKEN, True) is SuspectType.BY_ASSOCIATION
-
-    def test_committee_for_deceased_without_sample(self):
-        r = make_record(
-            classification=CaseClassification.SUSPECT,
-            death_date=date(2021, 8, 2),
-        )
-        assert suspect_type(r, LabSampleStatus.NOT_TAKEN, False) is SuspectType.BY_COMMITTEE
-        assert suspect_type(r, LabSampleStatus.INVALID, False) is SuspectType.BY_COMMITTEE
-
-    def test_lab_route_needs_usable_sample_and_positive(self):
-        r = make_record(classification=CaseClassification.CONFIRMED_BY_LAB)
-        assert suspect_type(r, LabSampleStatus.TAKEN, False) is SuspectType.BY_LAB
-        # association does not preempt the lab route when the sample is usable
-        assert suspect_type(r, LabSampleStatus.TAKEN, True) is SuspectType.BY_LAB
-
-    def test_no_rule_applies(self):
-        alive_negative = make_record(classification=CaseClassification.NEGATIVE)
-        assert suspect_type(alive_negative, LabSampleStatus.TAKEN, False) is None
-        assert suspect_type(alive_negative, LabSampleStatus.NOT_TAKEN, False) is None
 
 
 def test_metrics_reexports_the_age_domain():

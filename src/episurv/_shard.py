@@ -7,26 +7,29 @@ module sets the peak RSS of the small commands.
 
 import io
 import os
-from typing import Callable, Iterator, Sequence
+from itertools import chain, islice
+from typing import BinaryIO, Iterator, Sequence
 
-from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream
+from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream, _merge
 
 # Bytes per os.pread of the quote scan and the cut search; 1 MiB chunks
 # raised the peak RSS of `genomic-report` by about 0.8 MB.
 _SCAN_BYTES = 1 << 16
+# Keys per pickled piece of a worker's part.
+_PIECE_KEYS = 1024
 
 
-def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) -> tuple[dict, IngestStats] | None:
-    """``project`` of the token counts and the IngestStats of the data after
-    the header, over up to ``jobs`` newline-aligned byte ranges, or None when
-    the data holds a ``"`` or too few lines to cut. ``stream.stats`` is left
-    as it is.
+def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: tuple) -> tuple[dict, IngestStats] | None:
+    """The projection ``project`` (see ``ingest._count``) of the rows after
+    the header counted by ``dims``, and their IngestStats, over up to
+    ``jobs`` newline-aligned byte ranges, or None when the data holds a
+    ``"`` or too few lines to cut. ``stream.stats`` is left as it is.
 
     The first range is folded and projected here and every other one in a
-    forked worker, which sends back only its projection; the parts merge in
-    file order. The earliest malformed line wins, with its whole-file line
-    number; a worker that ends without a result raises OSError. Every worker
-    is reaped before this returns, and killed first if this raises.
+    forked worker, which sends back only its decoded part; the parts merge
+    in file order. The earliest malformed line wins, with its whole-file
+    line number; a worker that ends without a result raises OSError. Every
+    worker is reaped before this returns, and killed first if this raises.
     """
     fd = stream._raw.fileno()
     start, size = stream.stats.bytes_read, os.fstat(fd).st_size  # the header was read from byte 0
@@ -56,18 +59,14 @@ def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) 
         while workers:
             pid, pipe = workers[0]
             with pipe:
-                data = pipe.read()
+                head = _receive(pipe, total)
             status = os.waitpid(pid, 0)[1]
             del workers[0]
-            if status != 0 or not data:
+            if status != 0 or head is None:
                 raise OSError(f"shard worker {pid} ended without a result (wait status {status})")
-            import pickle  # after the fold, into memory it freed
-
-            part = pickle.loads(data)
-            if isinstance(part, BaseException):
-                raise part
-            _merge(total, part[0])
-            stats = stats.merge(part[1])
+            if isinstance(head, BaseException):
+                raise head
+            stats = stats.merge(head)
         return total, stats
     except BaseException:
         import signal  # only here: importing it costs 0.7 MB of RSS
@@ -81,42 +80,54 @@ def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) 
             os.waitpid(pid, 0)
 
 
-def _merge(total: dict, part: dict) -> None:
-    """Add a later range's projection, a sum of ints per key, into
-    ``total``; a new key goes last, as in a whole-file pass."""
-    for key, value in part.items():
-        total[key] = total.get(key, 0) + value
+def _receive(pipe: BinaryIO, total: dict):
+    """A worker's result, read from ``pipe`` as it is unpickled: the head,
+    its IngestStats or exception, returned, then its part piece by piece,
+    each merged into ``total`` as it comes; None if the result is cut short.
+    So neither the part's bytes nor the whole part is ever held here."""
+    import pickle  # after the fold, into memory it freed
+
+    try:
+        head = pickle.load(pipe)
+        while (piece := pickle.load(pipe)) is not None:
+            _merge(total, piece.items())
+        return head
+    except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
+        return None
 
 
-def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> tuple:
+def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: tuple) -> tuple:
     """Fold bytes [start, end) of the stream's file into ``project`` of its
-    token counts, and its IngestStats. Malformed CSV raises _MalformedCSV
-    with the whole-file line: ``start`` follows a newline, so the lines
-    before the range are the newlines before ``start``."""
+    counts by ``dims``, and its IngestStats. Malformed CSV raises
+    _MalformedCSV with the whole-file line: ``start`` follows a newline, so
+    the lines before the range are the newlines before ``start``."""
     stats = IngestStats()
     fd = stream._raw.fileno()
     with io.BufferedReader(_ByteRange(fd, start, end)) as raw:
         try:
-            return project(*stream._fold(raw, stats, dims)), stats
+            return stream._fold(raw, stats, dims, project), stats
         except _MalformedCSV as exc:
             line_no, reason = exc.args
             raise _MalformedCSV(sum(chunk.count(b"\n") for chunk in _chunks(fd, 0, start)) + line_no,
                                 reason) from None
 
 
-def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> None:
+def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: tuple) -> None:
     """A forked worker's whole life: fold and project one range, pickle the
-    result (or the exception) to ``w``, and end the process with os._exit."""
+    result to ``w`` as _receive reads it (the head, then the part in pieces
+    of _PIECE_KEYS keys, then None), and end the process with os._exit."""
     code = 1
     try:
         try:
-            part = _count_range(stream, start, end, dims, project)
+            part, head = _count_range(stream, start, end, dims, project)
         except Exception as exc:
-            part = exc
+            part, head = {}, exc
         import pickle  # after the fold, into memory it freed
 
+        items = iter(part.items())
         with open(w, "wb") as pipe:
-            pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            for piece in chain([head], iter(lambda: dict(islice(items, _PIECE_KEYS)), {}), [None]):
+                pickle.dump(piece, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)

@@ -38,10 +38,10 @@ from .genomics import (
 from .metrics import (
     CohortFilter,
     GROUP_DIMENSIONS,
-    MetricsReport,
     PositivityMode,
     RankMetric,
     SeverityCriterion,
+    StrataTable,
     StratumKey,
     Subcohort,
     classification_sex_tally,
@@ -50,7 +50,7 @@ from .metrics import (
     death_icu_sex_tally,
     intubation_sex_tally,
     state_treatment_tally,
-    stratified_report,
+    strata_table,
     treatment_sex_tally,
 )
 from .report import ShapeMismatch, TableId, format_pct, render_chunks
@@ -213,12 +213,12 @@ def _tally(tally):
     return lambda stream, args: tally(stream, _cohort_from(args))
 
 
-def _strata(stream, args, group_by=("state",)) -> dict[StratumKey, MetricsReport]:
-    """A registry table's strata by ``group_by``: the per-state charts keep
-    the default."""
-    return stratified_report(stream, _cohort_from(args), group_by,
-                             SeverityCriterion(args.severity_rule or SeverityCriterion.ICU_AND_INTUBATION),
-                             PositivityMode(args.positivity or PositivityMode.AGGREGATE))
+def _strata(stream, args, group_by=("state",)) -> StrataTable:
+    """A registry table's strata by ``group_by``, packed: the per-state
+    charts keep the default."""
+    return strata_table(stream, _cohort_from(args), group_by,
+                        SeverityCriterion(args.severity_rule or SeverityCriterion.ICU_AND_INTUBATION),
+                        PositivityMode(args.positivity or PositivityMode.AGGREGATE))
 
 
 def _label(args) -> str:
@@ -313,7 +313,7 @@ def _cmd_table(args) -> int:
     data = _TABLES[table][2](stream, args)
     chunks = render_chunks(table, data, args.format)
     if table is TableId.METRICS:
-        national = data[StratumKey()].fatality_pct
+        national = data.report(StratumKey()).fatality_pct
         if national is not None and format_pct(national) == "15.60":
             sys.stderr.write(_FATALITY_NOTE + "\n")
     stats = stream.stats

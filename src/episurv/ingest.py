@@ -18,9 +18,10 @@ identically. A RowError's line number is the physical line its row starts
 on, so it stays right after quoted fields that span lines. The IngestStats
 advance once per batch and are final once the stream is read; their
 reasons are listed in the order the file first shows them. The tables in
-``episurv.metrics`` and ``episurv.genomics`` roll a stream's or records'
-counts up in token space (see ``_count``); streams and records are counted
-by one token fold.
+``episurv.metrics`` and ``episurv.genomics`` are projections of one token
+fold of a stream or of records: a roll-up of each batch in token space as
+the fold goes, and a decode of the table's keys at the end (see
+``_count``).
 
 Header: both readers, and the variant catalog
 (``episurv.genomics.load_catalog``), read their header in one way: the
@@ -56,7 +57,8 @@ CPU cores when ``os.fork`` exists, no other thread runs, two CPUs are
 usable and the data fills two shards of SHARD_MIN_BYTES and holds no ``"``.
 The process folds the first newline-aligned byte range and a forked worker
 each other one (``episurv._shard``), which sends back its IngestStats and
-the table's roll-up, not its Counter. The parts merge in file order, so
+its decoded roll-up, in pieces merged as they come. The parts merge in
+file order, so
 every result equals a whole-file pass item for item and in order, and a
 malformed line keeps its whole-file number. Iteration is always serial.
 """
@@ -463,37 +465,70 @@ class _Tokens(dict):
     A miss computes the key by applying ``steps`` to the raw value in turn
     (None steps left out), once per distinct raw value per run. Keys are
     counted as tokens because hashing an int is cheaper than hashing a Sex or
-    AgeGroup; ``keys_by_token`` holds the keys in token order.
+    AgeGroup; ``keys`` holds the keys in token order, growing as they are
+    found.
     """
 
     def __init__(self, *steps: Callable | None):
         super().__init__()
         self.steps = [step for step in steps if step is not None]
-        self.keys_by_token: dict = {}  # key -> token, in token order
+        self.keys: list = []
+        self._tokens: dict = {}  # key -> token
 
     def __missing__(self, raw) -> int:
         key = raw
         for step in self.steps:
             key = step(key)
-        tokens = self.keys_by_token
-        token = self[raw] = tokens.setdefault(key, len(tokens))
+        token = self[raw] = self._tokens.setdefault(key, len(self.keys))
+        if token == len(self.keys):
+            self.keys.append(key)
         return token
 
 
-def _decoded(counts: dict[tuple, int], keys: list[list]) -> Counter[tuple]:
-    """The projection that decodes every key, in order and in one pass."""
+def _counted(keys: list[list]) -> Callable:
+    """The identity roll-up: each row counted by its token key."""
+    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
+        if columns:
+            part.update(zip(*columns))
+        else:
+            part[()] += n
+    return roll
+
+
+def _decoded(part: dict[tuple, int], keys: list[list]) -> Counter[tuple]:
+    """The decode that maps every token key to its key, in order and in one pass."""
     out: Counter[tuple] = Counter()
-    for key, n in counts.items():
+    for key, n in part.items():
         out[tuple(map(operator.getitem, keys, key))] = n
     return out
 
 
-def _rolled(where: int, project: Callable, counts: dict[tuple, int], keys: list[list]):
-    """``project`` of the counts whose ``where`` leading keys are true, without them."""
-    if where:
-        tests, keys = keys[:where], keys[where:]
-        counts = {key[where:]: n for key, n in counts.items() if all(map(operator.getitem, tests, key))}
-    return project(counts, keys)
+# The projection of ``count`` (see _count): every row counted, every key decoded.
+_WHOLE = (_counted, _decoded)
+
+
+def _merge(total: dict, items: Iterable[tuple]) -> dict:
+    """Add ``items``, (key, int) pairs, into ``total``; a new key goes last,
+    as in a whole-file pass. Rows are summed into a roll-up's part through
+    this, and so are parts into a whole."""
+    for key, value in items:
+        total[key] = total.get(key, 0) + value
+    return total
+
+
+def _where(where: int, project: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
+    """The projection (see _count) of the rows whose ``where`` leading keys
+    are true, without them, by ``project``."""
+    start, decode = project
+
+    def start_kept(keys: list[list]) -> Callable:
+        roll, tests = start(keys[where:]), [table.__getitem__ for table in keys[:where]]
+
+        def kept(part: Counter, columns: list[Iterator], n: int) -> None:
+            passed = list(map(all, zip(*map(map, tests, columns[:where]))))
+            roll(part, [compress(column, passed) for column in columns[where:]], passed.count(True))
+        return kept
+    return start_kept, lambda part, keys: decode(part, keys[where:])
 
 
 class _MalformedCSV(ValueError):
@@ -625,10 +660,11 @@ class _Stream:
         self.records())``, and ``stats`` a full iteration's once every shard
         has succeeded; a ``count`` that raises leaves them as they were.
         """
-        return self._rollup(dims, _decoded)
+        return self._rollup(dims, _WHOLE)
 
-    def _rollup(self, dims: Sequence[_Dim], project: Callable):
-        """``project`` (see _count) of each part's token counts by ``dims``."""
+    def _rollup(self, dims: Sequence[_Dim], project: tuple[Callable, Callable]):
+        """The projection ``project`` (see _count) of the rows counted by
+        ``dims``, each part's decoded part merged in file order."""
         try:
             jobs = self._shard_jobs()
             part = None
@@ -638,7 +674,7 @@ class _Stream:
                 part = _shard.rollup(self, jobs, dims, project)
             if part is None:
                 stats = IngestStats()
-                part = project(*self._fold(self._raw, stats, dims, self._line_offset)), stats
+                part = self._fold(self._raw, stats, dims, project, self._line_offset), stats
             result, stats = part
             merged = self.stats.merge(stats)
             for name in IngestStats.__slots__:  # in place: callers may hold stream.stats
@@ -648,12 +684,13 @@ class _Stream:
             if self._owns:
                 self._raw.close()
 
-    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], line_no: int = 0) -> tuple:
-        """``raw``'s accepted rows counted by ``dims`` (see _fold_tokens);
-        ``line_no`` lines precede ``raw``."""
+    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], project: tuple,
+              line_no: int = 0):
+        """``raw``'s accepted rows counted by ``dims`` and projected by
+        ``project`` (see _count); ``line_no`` lines precede ``raw``."""
         checks, getters = self._decoding()
         keys = [(getters[field][0], _Tokens(getters[field][1], fn)) for field, fn in dims]
-        return _fold_tokens(self._batches(raw, stats, checks, line_no), keys)
+        return _fold_tokens(self._batches(raw, stats, checks, line_no), keys, project)
 
     def _batches(self, raw: BinaryIO, stats: IngestStats, checks: list, line_no: int) -> Iterator[tuple]:
         """The batch loop: each batch of rows from the batch reader (``_rows``)
@@ -765,31 +802,41 @@ class GisaidStream(_Stream):
     _records = staticmethod(lambda values: map(SampleRecord, *values.values()))
 
 
-def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]]) -> tuple:
-    """The token fold: the rows of ``batches`` counted by ``keys`` (per
+def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]], project: tuple):
+    """The token fold: the rows of ``batches`` keyed by ``keys`` (per
     dimension, the index of its column in a batch and its _Tokens) in
-    small-int tokens, and each dimension's keys in token order. A batch is a
-    tuple that starts with its columns, one sequence of cells per column,
+    small-int tokens and projected by ``project`` (see _count). A batch is
+    a tuple that starts with its columns, one sequence of cells per column,
     the first holding a cell for every row; a batch without rows has none.
-    Each batch is freed before the next one is read."""
-    counts: Counter[tuple] = Counter()
+    Each batch is rolled up, then freed, before the next one is read."""
+    start, decode = project
+    tables = [tokens.keys for _, tokens in keys]
+    roll, part = start(tables), Counter()
     for columns, *_ in batches:
-        if columns and keys:
-            counts.update(zip(*(map(tokens.__getitem__, columns[i]) for i, tokens in keys)))
-        elif columns:
-            counts[()] += len(columns[0])
+        if columns:
+            roll(part, [map(tokens.__getitem__, columns[i]) for i, tokens in keys], len(columns[0]))
         del columns, _
-    return counts, [list(tokens.keys_by_token) for _, tokens in keys]
+    return decode(part, tables)
 
 
-def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (), project=_decoded):
-    """Records that pass the ``where`` filters (bool dimensions), counted by
-    ``dims`` in one pass and rolled up by ``project``: a sum over the token
-    counts, given each dimension's keys in token order, that decodes only
-    the keys it returns. A stream is counted by its batch-columnar fold;
-    records by the same token fold, BATCH_ROWS at a time, a batch's first
-    column being its records and then one per dimension. The two agree."""
-    project, dims = functools.partial(_rolled, len(where), project), (*where, *dims)
+def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (),
+           project: tuple[Callable, Callable] = _WHOLE):
+    """Records that pass the ``where`` filters (bool dimensions), keyed by
+    ``dims`` in one pass and projected by ``project``: a roll-up and a
+    decode, by default the count of each key.
+
+    The fold keys each row by small-int tokens, one per distinct key of
+    each dimension. ``project[0]``, given each dimension's keys in token
+    order (lists that grow as the fold finds keys), starts the roll-up: a
+    function that adds a batch, its token columns and its row count, into
+    a Counter, the part, in token space. ``project[1]`` decodes the part,
+    given the same keys, into the table's keys, decoding only those it
+    returns. A shard sends back its decoded part, and the parts merge in
+    file order (see _merge). A stream is folded by its batch loop; records
+    BATCH_ROWS at a time, a batch's first column being its records and then
+    one per dimension. The two agree."""
+    if where:
+        project, dims = _where(len(where), project), (*where, *dims)
     if isinstance(items, _Stream):
         return items._rollup(dims, project)
     gets = [(lambda r, name=field: r.comorbidities.get(name)) if field in COMORBIDITY_FIELDS
@@ -797,7 +844,7 @@ def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim
     items = iter(items)
     batches = (([batch, *(map(get, batch) for get in gets)],)
                for batch in iter(lambda: list(islice(items, BATCH_ROWS)), []))
-    return project(*_fold_tokens(batches, [(i, _Tokens(fn)) for i, (_, fn) in enumerate(dims, 1)]))
+    return _fold_tokens(batches, [(i, _Tokens(fn)) for i, (_, fn) in enumerate(dims, 1)], project)
 
 
 def ingest_sveerv(source: Source, *, delimiter: str = ",", encoding: str = "utf-8") -> SveervStream:

@@ -12,22 +12,27 @@ CaseCounts merge field-wise, so shards of a file can be accumulated
 independently and combined; rates for an empty denominator are Undefined
 (returned as None), never 0 and never NaN.
 
-The table functions (the tallies, comorbidity_profile, stratified_report)
-count by just the dimensions the table reads, in tokens, and roll the count
-up to the table's keys, decoding only those (see ``ingest._count``). They
-take records, or a SveervStream, counted by its batch-columnar fold.
+The table functions (the tallies, comorbidity_profile, strata_table and
+stratified_report) key the records by just the dimensions the table reads,
+in tokens, roll each batch up into the table's sums as the fold goes and
+decode only the table's keys (see ``ingest._count``). They take records,
+or a SveervStream, folded by its batch loop. strata_table keeps one packed
+int of CaseCounts sums per stratum (StrataTable), from which the metrics,
+rank and chart tables render and stratified_report builds its reports.
 """
 
 import dataclasses
 import functools
 import operator
+import struct
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import SveervStream, _count, _decoded, _Dim
+from .ingest import _WHOLE, SveervStream, _count, _decoded, _Dim, _merge
 from .schema import (
     COMORBIDITY_FIELDS,
     AgeGroup,
@@ -61,6 +66,8 @@ __all__ = [
     "MetricsReport",
     "build_report",
     "stratified_report",
+    "StrataTable",
+    "strata_table",
     "comorbidity_profile",
     "rank_states",
     "classification_sex_tally",
@@ -191,6 +198,7 @@ class CaseCounts:
 
 
 _COUNT_FIELDS = tuple(f.name for f in dataclasses.fields(CaseCounts))
+_counts_of = operator.attrgetter(*_COUNT_FIELDS)
 
 
 def accumulate(acc: CaseCounts, r: PatientRecord) -> CaseCounts:
@@ -316,18 +324,21 @@ def build_report(
     criterion: SeverityCriterion = SeverityCriterion.ICU_AND_INTUBATION,
     positivity: PositivityMode = PositivityMode.AGGREGATE,
 ) -> MetricsReport:
+    return MetricsReport(counts, *_rates(criterion, positivity, counts))
+
+
+def _rates(criterion: SeverityCriterion, positivity: PositivityMode, counts) -> tuple:
+    """A MetricsReport's rates, in field order, of ``counts``: a CaseCounts,
+    or any object with its fields."""
     try:
-        tgi1, tgi2, tgi3 = severity_rates(counts, criterion)
+        tgi = severity_rates(counts, criterion)
     except UndefinedForEmptyCohort:
-        tgi1 = tgi2 = tgi3 = None
-    return MetricsReport(
-        counts=counts,
-        fatality_pct=fatality_rate(counts),
-        positivity_pct=positivity_index(counts, positivity),
-        tgi1_pct=tgi1,
-        tgi2_pct=tgi2,
-        tgi3_pct=tgi3,
-    )
+        tgi = None, None, None
+    return fatality_rate(counts), positivity_index(counts, positivity), *tgi
+
+
+_RATE_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsReport) if f.name != "counts")
+_rates_of = operator.attrgetter(*_RATE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +372,24 @@ def _tally(
     cohort: CohortFilter | None,
     dims: Sequence[_Dim],
     where: Sequence[_Dim] = (),
-    project: Callable = _decoded,
+    project: tuple = _WHOLE,
 ):
     """Counts by ``dims`` of the records in the cohort that pass ``where``,
-    or their roll-up by ``project`` (see ``_count``)."""
+    or their projection by ``project`` (see ``_count``)."""
     where = (cohort._predicates if cohort is not None else ()) + tuple(where)
     return _count(records, dims, where, project)
 
 
 # What CaseCounts.add reads of a record: one cell of _CELL_DIMS.
 _Cell = namedtuple("_Cell", "classification treatment icu intubated death_date")
+# A CaseCounts' fields as a tuple, which the rates read as they read a CaseCounts.
+_Counts = namedtuple("_Counts", _COUNT_FIELDS)
 
 # A stratum's CaseCounts sums packed into one int: field i of _COUNT_FIELDS
-# in bits [i * _LANE, (i + 1) * _LANE). A field sum counts records, so it
-# never reaches 2**_LANE and no lane carries into the next.
-_LANE = 64
-_LANE_MASK = (1 << _LANE) - 1
-_LANE_SHIFTS = tuple(range(0, _LANE * len(_COUNT_FIELDS), _LANE))
+# in bits [64 * i, 64 * (i + 1)), the lane i of its bytes, little end first.
+# A field sum counts records, so it never reaches 2**64 and no lane carries
+# into the next.
+_LANES = struct.Struct(f"<{len(_COUNT_FIELDS)}Q")
 
 
 def _cell_vector(cells: list[list], tokens: tuple) -> int:
@@ -386,25 +398,99 @@ def _cell_vector(cells: list[list], tokens: tuple) -> int:
     *cell, died = map(operator.getitem, cells, tokens)
     counts = CaseCounts()
     counts.add(_Cell(*cell, died or None))
-    return sum(getattr(counts, name) << shift for name, shift in zip(_COUNT_FIELDS, _LANE_SHIFTS))
+    return int.from_bytes(_LANES.pack(*_counts_of(counts)), "little")
+
+
+def _lanes(packed: int) -> tuple[int, ...]:
+    """The CaseCounts fields, in order, of a packed sum (see _LANES)."""
+    return _LANES.unpack(packed.to_bytes(_LANES.size, "little"))
 
 
 def _unpacked(packed: int) -> CaseCounts:
-    """The CaseCounts of a packed sum (see _LANE)."""
-    return CaseCounts(*[packed >> shift & _LANE_MASK for shift in _LANE_SHIFTS])
+    """The CaseCounts of a packed sum (see _LANES)."""
+    return CaseCounts(*_lanes(packed))
 
 
-def _strata_sums(g: int, counts: dict[tuple, int], keys: list[list]) -> dict[tuple, int]:
-    """The roll-up of token counts keyed by ``g`` group dimensions and a
-    _CELL_DIMS cell to each group's packed CaseCounts sums (see _LANE): a
-    cell's vector is found once per cell, and only the group keys are
-    decoded."""
-    groups, vector = keys[:g], functools.cache(functools.partial(_cell_vector, keys[g:]))
-    sums: dict[tuple, int] = {}
-    for key, n in counts.items():
-        group = key[:g]
-        sums[group] = sums.get(group, 0) + n * vector(key[g:])
-    return {tuple(map(operator.getitem, groups, group)): acc for group, acc in sums.items()}
+def _strata_sums(g: int, keys: list[list]) -> Callable:
+    """The roll-up of rows keyed by ``g`` group dimensions and a _CELL_DIMS
+    cell: each row's cell vector is summed into its group's packed
+    CaseCounts sums (see _LANES), keyed by the group's tokens. A cell's
+    vector is found once per fold."""
+    vector = functools.cache(functools.partial(_cell_vector, keys[g:]))
+
+    def roll(part: dict, columns: list[Iterator], n: int) -> None:
+        groups = zip(*columns[:g]) if g else repeat((), n)
+        _merge(part, zip(groups, map(vector, zip(*columns[g:]))))
+    return roll
+
+
+# Distinct packed sums whose rates a StrataTable keeps. At 4096, the 12.8k
+# strata of a 1M-row registry kept 1 MB more while rendering, for a hit
+# rate of 4%; at 100k rows 1024 hit 73% of the strata, 4096 hit 80%.
+_RATES_MEMO = 1024
+
+
+class StrataTable(dict):
+    """Stratified metrics in packed form, as the metrics, rank and per-state
+    chart tables render them: a dict of each StratumKey to the packed
+    CaseCounts sums of its records (one int, see _LANES), the all-None key
+    last; and the criterion and positivity mode of the rates, which are
+    computed once per distinct packed value, the last _RATES_MEMO of them
+    kept."""
+
+    def __init__(self, sums: dict[StratumKey, int], criterion: SeverityCriterion, positivity: PositivityMode):
+        super().__init__(sums)
+        self.rates = functools.lru_cache(_RATES_MEMO)(functools.partial(_packed_rates, criterion, positivity))
+
+    def cells(self, key: StratumKey) -> tuple:
+        """The stratum's thirteen counts in CaseCounts order, then its five
+        rates in MetricsReport order, None when undefined."""
+        packed = self[key]
+        return *_lanes(packed), *self.rates(packed)
+
+    def report(self, key: StratumKey) -> MetricsReport:
+        """The stratum's report, with a CaseCounts of its own."""
+        packed = self[key]
+        return MetricsReport(_unpacked(packed), *self.rates(packed))
+
+
+def _packed_rates(criterion: SeverityCriterion, positivity: PositivityMode, packed: int) -> tuple:
+    return _rates(criterion, positivity, _Counts._make(_lanes(packed)))
+
+
+def strata_table(
+    records: Iterable[PatientRecord] | SveervStream,
+    cohort: CohortFilter | None = None,
+    group_by: Sequence[str] = (),
+    criterion: SeverityCriterion = SeverityCriterion.ICU_AND_INTUBATION,
+    positivity: PositivityMode = PositivityMode.AGGREGATE,
+) -> StrataTable:
+    """Single-pass stratified metrics, packed (see stratified_report).
+
+    The fold keys each record by the group dimensions and its
+    (classification, treatment, icu, intubated, died) cell, and adds the
+    cell's CaseCounts, packed, into its group's sums as it goes: it holds
+    one int per group, never a count per cell. Only the group keys are
+    decoded. The all-None key sums the leaves.
+    """
+    unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
+    if unknown:
+        raise ValueError(f"unknown group_by dimension(s): {', '.join(unknown)}")
+    used = [name for name in GROUP_DIMENSIONS if name in group_by]
+    # A leaf's StratumKey, positionally: its value on each used axis, None elsewhere.
+    place = operator.itemgetter(*[used.index(name) if name in used else len(used) for name in GROUP_DIMENSIONS])
+    sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
+                  project=(functools.partial(_strata_sums, len(used)), functools.partial(_stratum_keys, place)))
+    national = sum(sums.values())
+    sums.pop(StratumKey(), None)  # the one leaf of no grouping
+    sums[StratumKey()] = national
+    return StrataTable(sums, criterion, positivity)  # a copy of a dict of one int per stratum
+
+
+def _stratum_keys(place: Callable, sums: dict[tuple, int], keys: list[list]) -> dict[StratumKey, int]:
+    """The packed sums by group tokens keyed by each group's StratumKey."""
+    return {StratumKey._make(place((*map(operator.getitem, keys, group), None))): packed
+            for group, packed in sums.items()}
 
 
 def stratified_report(
@@ -418,36 +504,26 @@ def stratified_report(
 
     ``group_by`` names dimensions from GROUP_DIMENSIONS. The result always
     contains the all-None key holding the whole-cohort report, computed as
-    the merge of the leaf strata, last. Each leaf's CaseCounts is a roll-up
-    of one count keyed by the group dimensions and the (classification,
-    treatment, icu, intubated, died) cell of each record, held as one packed
-    int until its report is built. Every stratum has its own CaseCounts;
-    strata with equal counts share their rates, computed once.
+    the merge of the leaf strata, last. It is the reports of strata_table's
+    packed table: every stratum has its own CaseCounts, and strata with
+    equal counts share their rates, computed once.
     """
-    unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
-    if unknown:
-        raise ValueError(f"unknown group_by dimension(s): {', '.join(unknown)}")
-    used = [name for name in GROUP_DIMENSIONS if name in group_by]
-    sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
-                  project=functools.partial(_strata_sums, len(used)))
-    # A leaf's StratumKey, positionally: its value on each used axis, None elsewhere.
-    place = operator.itemgetter(*[used.index(name) if name in used else len(used) for name in GROUP_DIMENSIONS])
-    out: dict[StratumKey, MetricsReport] = {}
-    reports: dict[int, MetricsReport] = {}  # packed sums -> the first report of those counts
-    national = 0  # the merge of the leaves
-    for leaf in list(sums):
-        packed = sums.pop(leaf)
-        national += packed
-        key = StratumKey._make(place((*leaf, None)))
-        if key != StratumKey():
-            counts, first = _unpacked(packed), reports.get(packed)
-            if first is None:
-                out[key] = reports[packed] = build_report(counts, criterion, positivity)
-            else:
-                out[key] = MetricsReport(counts, first.fatality_pct, first.positivity_pct,
-                                         first.tgi1_pct, first.tgi2_pct, first.tgi3_pct)
-    out[StratumKey()] = build_report(_unpacked(national), criterion, positivity)
-    return out
+    table = strata_table(records, cohort, group_by, criterion, positivity)
+    reports = {}
+    for key in list(table):
+        reports[key] = table.report(key)
+        del table[key]  # its sums, freed as its report is built
+    return reports
+
+
+def _stratum_cells(data: StrataTable | dict[StratumKey, MetricsReport]) -> Callable[[StratumKey], tuple]:
+    """The cells (see StrataTable.cells) of a packed table's strata, or of
+    reports; TypeError for any other mapping."""
+    if isinstance(data, StrataTable):
+        return data.cells
+    if not all(isinstance(key, StratumKey) and isinstance(report, MetricsReport) for key, report in data.items()):
+        raise TypeError("expects StratumKey keys and MetricsReport values")
+    return lambda key: (*_counts_of(data[key].counts), *_rates_of(data[key]))
 
 
 _HOSPITALIZED: _Dim = ("treatment", functools.partial(operator.is_, TreatmentStrategy.HOSPITALIZED))
@@ -473,23 +549,26 @@ def comorbidity_profile(
     empty map.
     """
     dims = [_AGE_GROUP] + [(name, None) for name in COMORBIDITY_FIELDS]
-    return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], _yes_by_group)
+    return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], (_yes_by_group, _comorbidity_keys))
 
 
-def _yes_by_group(counts: dict[tuple, int], keys: list[list]) -> Counter[tuple[str, AgeGroup]]:
-    """The roll-up of token counts keyed by age group and the comorbidity
-    flags to YES counts by (comorbidity, age group)."""
-    groups, flags = keys[0], keys[1:]
-    profile: Counter[tuple[str, AgeGroup]] = Counter()
-    for (group, *tokens), n in counts.items():
-        for name, values, token in zip(COMORBIDITY_FIELDS, flags, tokens):
-            if values[token] is CodedFlag.YES:
-                profile[name, groups[group]] += n
-    return profile
+def _yes_by_group(keys: list[list]) -> Callable:
+    """The roll-up of rows keyed by age group and the comorbidity flags into
+    YES counts by (comorbidity index, age group token)."""
+    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
+        groups = list(columns[0])
+        for i, (values, flags) in enumerate(zip(keys[1:], columns[1:])):
+            yes = map(operator.is_, map(values.__getitem__, flags), repeat(CodedFlag.YES))
+            part.update(zip(repeat(i), compress(groups, yes)))
+    return roll
+
+
+def _comorbidity_keys(part: dict[tuple[int, int], int], keys: list[list]) -> Counter[tuple[str, AgeGroup]]:
+    return _decoded(part, [COMORBIDITY_FIELDS, keys[0]])
 
 
 def rank_states(
-    reports: dict[StratumKey, MetricsReport],
+    reports: StrataTable | dict[StratumKey, MetricsReport],
     metric: RankMetric,
 ) -> list[tuple[int, float]]:
     """Order per-state strata by a metric, descending; ties break by state code.
@@ -497,14 +576,10 @@ def rank_states(
     Strata where the metric is Undefined are left out of the ranking. The
     metric is the report's ``<metric>_pct`` field.
     """
-    field = f"{metric.value}_pct"
-    rows = []
-    for key, report in reports.items():
-        if not key.is_state():
-            continue
-        value = getattr(report, field)
-        if value is not None:
-            rows.append((key.state, value))
+    column = len(_COUNT_FIELDS) + _RATE_FIELDS.index(f"{metric.value}_pct")
+    cells = _stratum_cells(reports)
+    rows = [(key.state, value) for key in reports
+            if key.is_state() and (value := cells(key)[column]) is not None]
     rows.sort(key=lambda sv: (-sv[1], sv[0]))
     return rows
 

@@ -8,7 +8,9 @@ data shape its builder expects.
 Streaming: ``render_chunks`` gives a table as byte chunks of a few dozen
 rows, so a writer that sends each on as it comes holds one chunk of output
 at a time (the metrics rows, too, are built as they are rendered);
-``render`` joins them.
+``render`` joins them. The strata tables render from a packed
+``StrataTable`` or from ``stratified_report``'s reports alike, a stratum's
+counts and rates read through one accessor (``metrics._stratum_cells``).
 """
 
 import re
@@ -18,11 +20,19 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import islice
 from json import JSONEncoder
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
-from .metrics import GROUP_DIMENSIONS, CaseCounts, MetricsReport, RankMetric, StratumKey, rank_states
+from .metrics import (
+    GROUP_DIMENSIONS,
+    CaseCounts,
+    MetricsReport,
+    RankMetric,
+    StrataTable,
+    StratumKey,
+    _stratum_cells,
+    rank_states,
+)
 from .schema import (
     COMORBIDITY_FIELDS,
     AgeGroup,
@@ -200,28 +210,32 @@ def _in_stratum_order(keys: Iterable[StratumKey]) -> list[StratumKey]:
     return order
 
 
-def _build_state_chart(metric_names: tuple[str, ...], data: Mapping[StratumKey, MetricsReport]):
+def _pcts(values: Iterable) -> list:
+    return [None if value is None else _Pct(value) for value in values]
+
+
+def _build_state_chart(metric_names: tuple[str, ...], data: StrataTable | Mapping[StratumKey, MetricsReport]):
     """Per-state rows for the chart tables; strata with any undefined metric
     are omitted and reported in a trailer comment."""
+    cells, columns = _stratum_cells(data), [_CELL_AT[name] for name in metric_names]
     rows = []
     omitted = []
     for key in _in_stratum_order(data):
         if not key.is_state():
             continue
-        report = data[key]
-        values = [getattr(report, name) for name in metric_names]
-        if any(v is None for v in values):
+        row = cells(key)
+        values = [row[i] for i in columns]
+        if None in values:
             omitted.append(key.state)
             continue
-        rows.append((key.state, STATE_NAMES.get(key.state, str(key.state)),
-                     *[_Pct(v) for v in values]))
+        rows.append((key.state, STATE_NAMES.get(key.state, str(key.state)), *_pcts(values)))
     trailers = []
     if omitted:
         trailers.append("# omitted (undefined): " + ", ".join(str(s) for s in omitted))
     return ("state_code", "state", *metric_names), rows, trailers
 
 
-def _build_rank(data: tuple[RankMetric, Mapping[StratumKey, MetricsReport]]):
+def _build_rank(data: tuple[RankMetric, StrataTable | Mapping[StratumKey, MetricsReport]]):
     metric, reports = data
     metric = RankMetric(metric)
     cols = ("rank", "state_code", "state", f"{metric.value}_pct")
@@ -246,26 +260,22 @@ def _build_comorbidity(data: Mapping):
 
 _COUNT_COLS = tuple(f.name for f in fields(CaseCounts))
 _RATE_COLS = tuple(f.name for f in fields(MetricsReport) if f.name != "counts")
-_counts_of = attrgetter(*_COUNT_COLS)
-_rates_of = attrgetter(*_RATE_COLS)
+_CELL_AT = {name: i for i, name in enumerate(_COUNT_COLS + _RATE_COLS)}  # in a stratum's cells
 
 
-def _metrics_rows(keys: list[StratumKey], data: Mapping[StratumKey, MetricsReport]):
+def _metrics_rows(keys: list[StratumKey], cells: Callable[[StratumKey], tuple]):
+    rates = len(_COUNT_COLS)
     for key in keys:
-        report = data[key]
-        yield (*[_AXIS_CELL.get(value, value) for value in key],
-               *_counts_of(report.counts),
-               *[None if rate is None else _Pct(rate) for rate in _rates_of(report)])
+        values = cells(key)
+        yield *[_AXIS_CELL.get(value, value) for value in key], *values[:rates], *_pcts(values[rates:])
 
 
-def _build_metrics(data: Mapping):
-    """One row per stratum, in stratum order. The rows are built as they are
-    rendered: a fine grouping has tens of thousands of strata."""
-    if not all(isinstance(key, StratumKey) and isinstance(report, MetricsReport)
-               for key, report in data.items()):
-        raise TypeError("expects StratumKey keys and MetricsReport values")
-    keys = _in_stratum_order(data)
-    return GROUP_DIMENSIONS + _COUNT_COLS + _RATE_COLS, _metrics_rows(keys, data), []
+def _build_metrics(data: StrataTable | Mapping[StratumKey, MetricsReport]):
+    """One row per stratum, in stratum order, from a packed table or from
+    reports. The rows are built as they are rendered: a fine grouping has
+    tens of thousands of strata."""
+    cells = _stratum_cells(data)
+    return GROUP_DIMENSIONS + _COUNT_COLS + _RATE_COLS, _metrics_rows(_in_stratum_order(data), cells), []
 
 
 _CLASS_COLS = ("classification_code", "classification")
@@ -355,13 +365,14 @@ def render_chunks(table_id: TableId, data: Any, fmt: str = "tsv") -> Iterator[by
 
 def _chunks(cols: tuple[str, ...], rows: Iterator[tuple], trailers: list[str], fmt: str) -> Iterator[bytes]:
     if fmt == "json":
-        # One encode per row, joined as json.dumps joins list items (", "):
-        # the chunks join into the dumps of the whole row list.
+        # One encode per chunk's rows, its brackets cut off and the chunks
+        # joined as json.dumps joins list items (", "): the chunks join into
+        # the dumps of the whole row list.
         yield b"["
         sep = ""
         while batch := list(islice(rows, _CHUNK_ROWS)):
-            text = ", ".join([_JSON.encode(dict(zip(cols, _json_cells(row)))) for row in batch])
-            yield (sep + text).encode("utf-8")
+            text = _JSON.encode([dict(zip(cols, _json_cells(row))) for row in batch])
+            yield (sep + text[1:-1]).encode("utf-8")
             sep = ", "
         yield b"]\n"
         return

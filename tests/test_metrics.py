@@ -34,6 +34,7 @@ from episurv.metrics import (
     stratified_report,
     treatment_sex_tally,
 )
+from episurv.ingest import _merge
 from episurv.metrics import _strata_sums, _unpacked
 from episurv.schema import (
     CaseClassification,
@@ -271,8 +272,9 @@ def test_each_stratum_equals_a_per_record_fold(tmp_path_factory, jobs, criterion
 
 def test_packed_sums_are_exact_with_no_carry_between_lanes():
     """The strata roll-up holds each stratum's CaseCounts sums in one int,
-    one 64-bit lane per field: sums just under 2**64 unpack exactly, and a
-    full lane carries nothing into its neighbour."""
+    one 64-bit lane per field: rows sum into it by their group's tokens,
+    parts (as shards send them) merge into it, sums just under 2**64 unpack
+    exactly, and a full lane carries nothing into its neighbour."""
     died = make_record(treatment=TreatmentStrategy.HOSPITALIZED, icu=CodedFlag.YES,
                        intubated=CodedFlag.YES, death_date=date(2021, 8, 1))
     negative = make_record(classification=CaseClassification.NEGATIVE)
@@ -280,14 +282,18 @@ def test_packed_sums_are_exact_with_no_carry_between_lanes():
     cells = [(r.classification, r.treatment, r.icu, r.intubated, r.death_date is not None)
              for r in (died, negative)]
     keys = [["a", "b"], *map(list, zip(*cells))]
+    # Three rows: died and negative in group a, then died in group b.
+    part = {}
+    _strata_sums(1, keys)(part, [iter([0, 0, 1]), *(iter([0, 1, 0]) for _ in cells[0])], 3)
+    assert list(part) == [(0,), (1,)]
+    assert _unpacked(part[0,]) == counts_of(died, negative) and _unpacked(part[1,]) == counts_of(died)
+    died_vector, negative_vector = part[1,], part[0,] - part[1,]
     big, other, full = 2**63 + 5, 2**63 - 7, 2**64 - 1
-    sums = _strata_sums(1, {(0, 0, 0, 0, 0, 0): big, (0, 1, 1, 1, 1, 1): other,
-                            (1, 0, 0, 0, 0, 0): full}, keys)
-    assert list(sums) == [("a",), ("b",)]
+    sums = _merge({}, [("a", big * died_vector), ("a", other * negative_vector), ("b", full * died_vector)])
     one_died, one_negative = dataclasses.astuple(counts_of(died)), dataclasses.astuple(counts_of(negative))
-    assert _unpacked(sums["a",]) == CaseCounts(*[big * x + other * y for x, y in zip(one_died, one_negative)])
-    assert _unpacked(sums["b",]) == CaseCounts(*[full * x for x in one_died])
-    assert _unpacked(sums["a",]).total == 2**64 - 2 and _unpacked(sums["b",]).negative == 0
+    assert _unpacked(sums["a"]) == CaseCounts(*[big * x + other * y for x, y in zip(one_died, one_negative)])
+    assert _unpacked(sums["b"]) == CaseCounts(*[full * x for x in one_died])
+    assert _unpacked(sums["a"]).total == 2**64 - 2 and _unpacked(sums["b"]).negative == 0
 
 
 def test_stratified_report_age_group_dimension():

@@ -8,7 +8,7 @@ module sets the peak RSS of the small commands.
 import io
 import os
 from itertools import chain, islice
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .ingest import IngestStats, _Dim, _MalformedCSV, _Stream, _merge
 
@@ -19,7 +19,7 @@ _SCAN_BYTES = 1 << 16
 _PIECE_KEYS = 1024
 
 
-def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: tuple) -> tuple[dict, IngestStats] | None:
+def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) -> tuple[dict, IngestStats] | None:
     """The projection ``project`` (see ``ingest._count``) of the rows after
     the header counted by ``dims``, and their IngestStats, over up to
     ``jobs`` newline-aligned byte ranges, or None when the data holds a
@@ -96,7 +96,7 @@ def _receive(pipe: BinaryIO, total: dict):
         return None
 
 
-def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: tuple) -> tuple:
+def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> tuple:
     """Fold bytes [start, end) of the stream's file into ``project`` of its
     counts by ``dims``, and its IngestStats. Malformed CSV raises
     _MalformedCSV with the whole-file line: ``start`` follows a newline, so
@@ -112,7 +112,7 @@ def _count_range(stream: _Stream, start: int, end: int, dims: Sequence[_Dim], pr
                                 reason) from None
 
 
-def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: tuple) -> None:
+def _work(w: int, stream: _Stream, start: int, end: int, dims: Sequence[_Dim], project: Callable) -> None:
     """A forked worker's whole life: fold and project one range, pickle the
     result to ``w`` as _receive reads it (the head, then the part in pieces
     of _PIECE_KEYS keys, then None), and end the process with os._exit."""

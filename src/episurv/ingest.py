@@ -485,26 +485,23 @@ class _Tokens(dict):
         return token
 
 
-def _counted(keys: list[list]) -> Callable:
-    """The identity roll-up: each row counted by its token key."""
+def _counted(keys: list[list]) -> tuple[Callable, Callable]:
+    """The projection of ``count`` (see _count): each row counted by its
+    token key, the identity roll-up, and every key decoded."""
     def roll(part: Counter, columns: list[Iterator], n: int) -> None:
         if columns:
             part.update(zip(*columns))
         else:
             part[()] += n
-    return roll
+    return roll, functools.partial(_decoded, keys=keys)
 
 
 def _decoded(part: dict[tuple, int], keys: list[list]) -> Counter[tuple]:
-    """The decode that maps every token key to its key, in order and in one pass."""
+    """``part`` with each token key mapped to its key, in order and in one pass."""
     out: Counter[tuple] = Counter()
     for key, n in part.items():
         out[tuple(map(operator.getitem, keys, key))] = n
     return out
-
-
-# The projection of ``count`` (see _count): every row counted, every key decoded.
-_WHOLE = (_counted, _decoded)
 
 
 def _merge(total: dict, items: Iterable[tuple]) -> dict:
@@ -516,19 +513,20 @@ def _merge(total: dict, items: Iterable[tuple]) -> dict:
     return total
 
 
-def _where(where: int, project: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
+def _where(where: int, project: Callable) -> Callable:
     """The projection (see _count) of the rows whose ``where`` leading keys
     are true, without them, by ``project``."""
-    start, decode = project
-
-    def start_kept(keys: list[list]) -> Callable:
-        roll, tests = start(keys[where:]), [table.__getitem__ for table in keys[:where]]
+    def kept_by(keys: list[list]) -> tuple[Callable, Callable]:
+        (roll, decode), tests = project(keys[where:]), [table.__getitem__ for table in keys[:where]]
 
         def kept(part: Counter, columns: list[Iterator], n: int) -> None:
-            passed = list(map(all, zip(*map(map, tests, columns[:where]))))
+            passed = map(tests[0], columns[0])
+            for test, column in zip(tests[1:], columns[1:where]):
+                passed = map(operator.and_, passed, map(test, column))
+            passed = list(passed)
             roll(part, [compress(column, passed) for column in columns[where:]], passed.count(True))
-        return kept
-    return start_kept, lambda part, keys: decode(part, keys[where:])
+        return kept, decode
+    return kept_by
 
 
 class _MalformedCSV(ValueError):
@@ -660,9 +658,9 @@ class _Stream:
         self.records())``, and ``stats`` a full iteration's once every shard
         has succeeded; a ``count`` that raises leaves them as they were.
         """
-        return self._rollup(dims, _WHOLE)
+        return self._rollup(dims, _counted)
 
-    def _rollup(self, dims: Sequence[_Dim], project: tuple[Callable, Callable]):
+    def _rollup(self, dims: Sequence[_Dim], project: Callable):
         """The projection ``project`` (see _count) of the rows counted by
         ``dims``, each part's decoded part merged in file order."""
         try:
@@ -684,7 +682,7 @@ class _Stream:
             if self._owns:
                 self._raw.close()
 
-    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], project: tuple,
+    def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], project: Callable,
               line_no: int = 0):
         """``raw``'s accepted rows counted by ``dims`` and projected by
         ``project`` (see _count); ``line_no`` lines precede ``raw``."""
@@ -802,39 +800,38 @@ class GisaidStream(_Stream):
     _records = staticmethod(lambda values: map(SampleRecord, *values.values()))
 
 
-def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]], project: tuple):
+def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]], project: Callable):
     """The token fold: the rows of ``batches`` keyed by ``keys`` (per
     dimension, the index of its column in a batch and its _Tokens) in
     small-int tokens and projected by ``project`` (see _count). A batch is
     a tuple that starts with its columns, one sequence of cells per column,
     the first holding a cell for every row; a batch without rows has none.
     Each batch is rolled up, then freed, before the next one is read."""
-    start, decode = project
     tables = [tokens.keys for _, tokens in keys]
-    roll, part = start(tables), Counter()
+    (roll, decode), part = project(tables), Counter()
     for columns, *_ in batches:
         if columns:
             roll(part, [map(tokens.__getitem__, columns[i]) for i, tokens in keys], len(columns[0]))
         del columns, _
-    return decode(part, tables)
+    return decode(part)
 
 
 def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (),
-           project: tuple[Callable, Callable] = _WHOLE):
+           project: Callable = _counted):
     """Records that pass the ``where`` filters (bool dimensions), keyed by
-    ``dims`` in one pass and projected by ``project``: a roll-up and a
-    decode, by default the count of each key.
+    ``dims`` in one pass and projected by ``project``, by default counted
+    by key.
 
     The fold keys each row by small-int tokens, one per distinct key of
-    each dimension. ``project[0]``, given each dimension's keys in token
-    order (lists that grow as the fold finds keys), starts the roll-up: a
-    function that adds a batch, its token columns and its row count, into
-    a Counter, the part, in token space. ``project[1]`` decodes the part,
-    given the same keys, into the table's keys, decoding only those it
-    returns. A shard sends back its decoded part, and the parts merge in
-    file order (see _merge). A stream is folded by its batch loop; records
-    BATCH_ROWS at a time, a batch's first column being its records and then
-    one per dimension. The two agree."""
+    each dimension. ``project``, given each dimension's keys in token order
+    (lists that grow as the fold finds keys), returns a roll-up and a
+    decode for one fold. The roll-up adds each batch, its token columns and
+    its row count, into a Counter, the part, in token space. The decode
+    maps the part to the table's keys, decoding only those it returns. A
+    shard sends back its decoded part, and the parts merge in file order
+    (see _merge). A stream is folded by its batch loop; records BATCH_ROWS
+    at a time, a batch's first column being its records and then one per
+    dimension. The two agree."""
     if where:
         project, dims = _where(len(where), project), (*where, *dims)
     if isinstance(items, _Stream):

@@ -32,7 +32,7 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import _WHOLE, SveervStream, _count, _decoded, _Dim, _merge
+from .ingest import SveervStream, _count, _counted, _decoded, _Dim, _merge
 from .schema import (
     COMORBIDITY_FIELDS,
     AgeGroup,
@@ -372,7 +372,7 @@ def _tally(
     cohort: CohortFilter | None,
     dims: Sequence[_Dim],
     where: Sequence[_Dim] = (),
-    project: tuple = _WHOLE,
+    project: Callable = _counted,
 ):
     """Counts by ``dims`` of the records in the cohort that pass ``where``,
     or their projection by ``project`` (see ``_count``)."""
@@ -411,17 +411,43 @@ def _unpacked(packed: int) -> CaseCounts:
     return CaseCounts(*_lanes(packed))
 
 
-def _strata_sums(g: int, keys: list[list]) -> Callable:
-    """The roll-up of rows keyed by ``g`` group dimensions and a _CELL_DIMS
-    cell: each row's cell vector is summed into its group's packed
-    CaseCounts sums (see _LANES), keyed by the group's tokens. A cell's
-    vector is found once per fold."""
-    vector = functools.cache(functools.partial(_cell_vector, keys[g:]))
+# Token keys a strata roll-up counts before it sums them by group.
+_ROLL_KEYS = 4096
 
-    def roll(part: dict, columns: list[Iterator], n: int) -> None:
-        groups = zip(*columns[:g]) if g else repeat((), n)
-        _merge(part, zip(groups, map(vector, zip(*columns[g:]))))
-    return roll
+
+def _strata_sums(g: int, place: Callable, keys: list[list]) -> tuple[Callable, Callable]:
+    """The projection (see ``ingest._count``) of rows keyed by ``g`` group
+    dimensions and a _CELL_DIMS cell to each group's packed CaseCounts sums
+    (see _LANES), keyed by its StratumKey, placed by ``place``.
+
+    The roll-up counts rows by token key, in C, until the part holds
+    _ROLL_KEYS keys, which a coarse grouping never reaches; then it sums the
+    counts into each group's sums, and from there on adds each row's cell
+    vector to its group's sums as it comes. So the part holds at most
+    _ROLL_KEYS keys or one int per group. A cell's vector is found once per
+    fold, and only the group keys are decoded."""
+    vector = functools.cache(functools.partial(_cell_vector, keys[g:]))
+    summed = False  # whether the part holds group sums rather than counts
+
+    def sums(counts: dict[tuple, int]) -> dict[tuple, int]:
+        return _merge({}, ((key[:g], n * vector(key[g:])) for key, n in counts.items()))
+
+    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
+        nonlocal summed
+        if not summed:
+            part.update(zip(*columns))
+            if len(part) >= _ROLL_KEYS:
+                summed, counts = True, sums(part)
+                part.clear()
+                part.update(counts)
+        else:
+            groups = zip(*columns[:g]) if g else repeat((), n)
+            _merge(part, zip(groups, map(vector, zip(*columns[g:]))))
+
+    def decode(part: Counter) -> dict[StratumKey, int]:
+        return {StratumKey._make(place((*map(operator.getitem, keys, group), None))): packed
+                for group, packed in (part if summed else sums(part)).items()}
+    return roll, decode
 
 
 # Distinct packed sums whose rates a StrataTable keeps. At 4096, the 12.8k
@@ -468,10 +494,10 @@ def strata_table(
     """Single-pass stratified metrics, packed (see stratified_report).
 
     The fold keys each record by the group dimensions and its
-    (classification, treatment, icu, intubated, died) cell, and adds the
-    cell's CaseCounts, packed, into its group's sums as it goes: it holds
-    one int per group, never a count per cell. Only the group keys are
-    decoded. The all-None key sums the leaves.
+    (classification, treatment, icu, intubated, died) cell, and rolls the
+    keys up into each group's packed CaseCounts sums as it goes (see
+    _strata_sums): it holds at most _ROLL_KEYS counts or one int per group.
+    Only the group keys are decoded. The all-None key sums the leaves.
     """
     unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
     if unknown:
@@ -480,17 +506,11 @@ def strata_table(
     # A leaf's StratumKey, positionally: its value on each used axis, None elsewhere.
     place = operator.itemgetter(*[used.index(name) if name in used else len(used) for name in GROUP_DIMENSIONS])
     sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
-                  project=(functools.partial(_strata_sums, len(used)), functools.partial(_stratum_keys, place)))
+                  project=functools.partial(_strata_sums, len(used), place))
     national = sum(sums.values())
     sums.pop(StratumKey(), None)  # the one leaf of no grouping
     sums[StratumKey()] = national
-    return StrataTable(sums, criterion, positivity)  # a copy of a dict of one int per stratum
-
-
-def _stratum_keys(place: Callable, sums: dict[tuple, int], keys: list[list]) -> dict[StratumKey, int]:
-    """The packed sums by group tokens keyed by each group's StratumKey."""
-    return {StratumKey._make(place((*map(operator.getitem, keys, group), None))): packed
-            for group, packed in sums.items()}
+    return StrataTable(sums, criterion, positivity)
 
 
 def stratified_report(
@@ -549,22 +569,19 @@ def comorbidity_profile(
     empty map.
     """
     dims = [_AGE_GROUP] + [(name, None) for name in COMORBIDITY_FIELDS]
-    return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], (_yes_by_group, _comorbidity_keys))
+    return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], _yes_by_group)
 
 
-def _yes_by_group(keys: list[list]) -> Callable:
-    """The roll-up of rows keyed by age group and the comorbidity flags into
-    YES counts by (comorbidity index, age group token)."""
+def _yes_by_group(keys: list[list]) -> tuple[Callable, Callable]:
+    """The projection (see ``ingest._count``) of rows keyed by age group and
+    the comorbidity flags to YES counts by (comorbidity, age group),
+    counted by (comorbidity index, age group token)."""
     def roll(part: Counter, columns: list[Iterator], n: int) -> None:
         groups = list(columns[0])
         for i, (values, flags) in enumerate(zip(keys[1:], columns[1:])):
             yes = map(operator.is_, map(values.__getitem__, flags), repeat(CodedFlag.YES))
             part.update(zip(repeat(i), compress(groups, yes)))
-    return roll
-
-
-def _comorbidity_keys(part: dict[tuple[int, int], int], keys: list[list]) -> Counter[tuple[str, AgeGroup]]:
-    return _decoded(part, [COMORBIDITY_FIELDS, keys[0]])
+    return roll, functools.partial(_decoded, keys=[COMORBIDITY_FIELDS, keys[0]])
 
 
 def rank_states(

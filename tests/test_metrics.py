@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import operator
 import random
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -272,7 +274,7 @@ def test_each_stratum_equals_a_per_record_fold(tmp_path_factory, jobs, criterion
 
 def test_packed_sums_are_exact_with_no_carry_between_lanes():
     """The strata roll-up holds each stratum's CaseCounts sums in one int,
-    one 64-bit lane per field: rows sum into it by their group's tokens,
+    one 64-bit lane per field: rows sum into it by their group,
     parts (as shards send them) merge into it, sums just under 2**64 unpack
     exactly, and a full lane carries nothing into its neighbour."""
     died = make_record(treatment=TreatmentStrategy.HOSPITALIZED, icu=CodedFlag.YES,
@@ -282,12 +284,16 @@ def test_packed_sums_are_exact_with_no_carry_between_lanes():
     cells = [(r.classification, r.treatment, r.icu, r.intubated, r.death_date is not None)
              for r in (died, negative)]
     keys = [["a", "b"], *map(list, zip(*cells))]
-    # Three rows: died and negative in group a, then died in group b.
-    part = {}
-    _strata_sums(1, keys)(part, [iter([0, 0, 1]), *(iter([0, 1, 0]) for _ in cells[0])], 3)
-    assert list(part) == [(0,), (1,)]
-    assert _unpacked(part[0,]) == counts_of(died, negative) and _unpacked(part[1,]) == counts_of(died)
-    died_vector, negative_vector = part[1,], part[0,] - part[1,]
+    # Three rows: died and negative in group a, then died in group b; the
+    # group is placed as a StratumKey's state.
+    a, b = StratumKey("a"), StratumKey("b")
+    roll, decode = _strata_sums(1, operator.itemgetter(0, 1, 1, 1), keys)
+    part = Counter()
+    roll(part, [iter([0, 0, 1]), *(iter([0, 1, 0]) for _ in cells[0])], 3)
+    part = decode(part)
+    assert list(part) == [a, b]
+    assert _unpacked(part[a]) == counts_of(died, negative) and _unpacked(part[b]) == counts_of(died)
+    died_vector, negative_vector = part[b], part[a] - part[b]
     big, other, full = 2**63 + 5, 2**63 - 7, 2**64 - 1
     sums = _merge({}, [("a", big * died_vector), ("a", other * negative_vector), ("b", full * died_vector)])
     one_died, one_negative = dataclasses.astuple(counts_of(died)), dataclasses.astuple(counts_of(negative))

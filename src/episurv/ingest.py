@@ -661,8 +661,8 @@ class _Stream:
         return self._rollup(dims, _counted)
 
     def _rollup(self, dims: Sequence[_Dim], project: Callable):
-        """The projection ``project`` (see _count) of the rows counted by
-        ``dims``, each part's decoded part merged in file order."""
+        """The projection ``project`` (see _count) of the rows keyed by
+        ``dims``; a sharded file's decoded parts merge in file order."""
         try:
             jobs = self._shard_jobs()
             part = None

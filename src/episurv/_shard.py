@@ -26,7 +26,7 @@ def rollup(stream: _Stream, jobs: int, dims: Sequence[_Dim], project: Callable) 
     ``"`` or too few lines to cut. ``stream.stats`` is left as it is.
 
     The first range is folded and projected here and every other one in a
-    forked worker, which sends back only its decoded part; the parts merge
+    forked worker, which sends back only its part, as it is; the parts merge
     in file order. The earliest malformed line wins, with its whole-file
     line number; a worker that ends without a result raises OSError. Every
     worker is reaped before this returns, and killed first if this raises.

@@ -18,10 +18,9 @@ identically. A RowError's line number is the physical line its row starts
 on, so it stays right after quoted fields that span lines. The IngestStats
 advance once per batch and are final once the stream is read; their
 reasons are listed in the order the file first shows them. The tables in
-``episurv.metrics`` and ``episurv.genomics`` are projections of one token
-fold of a stream or of records: a roll-up of each batch in token space as
-the fold goes, and a decode of the table's keys at the end (see
-``_count``).
+``episurv.metrics`` and ``episurv.genomics`` are projections of one fold
+of a stream or of records by decoded keys: a roll-up of each batch into
+the table's keys and sums as the fold goes (see ``_count``).
 
 Header: both readers, and the variant catalog
 (``episurv.genomics.load_catalog``), read their header in one way: the
@@ -57,9 +56,8 @@ CPU cores when ``os.fork`` exists, no other thread runs, two CPUs are
 usable and the data fills two shards of SHARD_MIN_BYTES and holds no ``"``.
 The process folds the first newline-aligned byte range and a forked worker
 each other one (``episurv._shard``), which sends back its IngestStats and
-its decoded roll-up, in pieces merged as they come. The parts merge in
-file order, so
-every result equals a whole-file pass item for item and in order, and a
+its roll-up, in pieces merged as they come. The parts merge in file order,
+so every result equals a whole-file pass item for item and in order, and a
 malformed line keeps its whole-file number. Iteration is always serial.
 """
 
@@ -459,49 +457,33 @@ def _screen(rows: list[list[str]], checks: list, ncols: int) -> tuple[list[tuple
     return columns, rejects
 
 
-class _Tokens(dict):
-    """One dimension of a count: raw value -> small-int token of its key.
-
-    A miss computes the key by applying ``steps`` to the raw value in turn
-    (None steps left out), once per distinct raw value per run. Keys are
-    counted as tokens because hashing an int is cheaper than hashing a Sex or
-    AgeGroup; ``keys`` holds the keys in token order, growing as they are
-    found.
-    """
+class _Memo(dict):
+    """One dimension of a count: raw value -> key. A miss computes the key
+    by applying ``steps`` to the raw value in turn (None steps left out),
+    once per distinct raw value per fold."""
 
     def __init__(self, *steps: Callable | None):
         super().__init__()
         self.steps = [step for step in steps if step is not None]
-        self.keys: list = []
-        self._tokens: dict = {}  # key -> token
 
-    def __missing__(self, raw) -> int:
+    def __missing__(self, raw):
         key = raw
         for step in self.steps:
             key = step(key)
-        token = self[raw] = self._tokens.setdefault(key, len(self.keys))
-        if token == len(self.keys):
-            self.keys.append(key)
-        return token
+        self[raw] = key
+        return key
 
 
-def _counted(keys: list[list]) -> tuple[Callable, Callable]:
-    """The projection of ``count`` (see _count): each row counted by its
-    token key, the identity roll-up, and every key decoded."""
-    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
+def _counted() -> tuple[Callable, Callable]:
+    """The projection of ``count`` (see _count): each row counted by its key."""
+    part: Counter[tuple] = Counter()
+
+    def roll(columns: list[Iterator], n: int) -> None:
         if columns:
             part.update(zip(*columns))
         else:
             part[()] += n
-    return roll, functools.partial(_decoded, keys=keys)
-
-
-def _decoded(part: dict[tuple, int], keys: list[list]) -> Counter[tuple]:
-    """``part`` with each token key mapped to its key, in order and in one pass."""
-    out: Counter[tuple] = Counter()
-    for key, n in part.items():
-        out[tuple(map(operator.getitem, keys, key))] = n
-    return out
+    return roll, lambda: part
 
 
 def _merge(total: dict, items: Iterable[tuple]) -> dict:
@@ -516,16 +498,16 @@ def _merge(total: dict, items: Iterable[tuple]) -> dict:
 def _where(where: int, project: Callable) -> Callable:
     """The projection (see _count) of the rows whose ``where`` leading keys
     are true, without them, by ``project``."""
-    def kept_by(keys: list[list]) -> tuple[Callable, Callable]:
-        (roll, decode), tests = project(keys[where:]), [table.__getitem__ for table in keys[:where]]
+    def kept_by() -> tuple[Callable, Callable]:
+        roll, result = project()
 
-        def kept(part: Counter, columns: list[Iterator], n: int) -> None:
-            passed = map(tests[0], columns[0])
-            for test, column in zip(tests[1:], columns[1:where]):
-                passed = map(operator.and_, passed, map(test, column))
+        def kept(columns: list[Iterator], n: int) -> None:
+            passed = columns[0]
+            for column in columns[1:where]:
+                passed = map(operator.and_, passed, column)
             passed = list(passed)
-            roll(part, [compress(column, passed) for column in columns[where:]], passed.count(True))
-        return kept, decode
+            roll([compress(column, passed) for column in columns[where:]], passed.count(True))
+        return kept, result
     return kept_by
 
 
@@ -662,7 +644,7 @@ class _Stream:
 
     def _rollup(self, dims: Sequence[_Dim], project: Callable):
         """The projection ``project`` (see _count) of the rows keyed by
-        ``dims``; a sharded file's decoded parts merge in file order."""
+        ``dims``; a sharded file's parts merge in file order."""
         try:
             jobs = self._shard_jobs()
             part = None
@@ -685,10 +667,13 @@ class _Stream:
     def _fold(self, raw: BinaryIO, stats: IngestStats, dims: Sequence[_Dim], project: Callable,
               line_no: int = 0):
         """``raw``'s accepted rows counted by ``dims`` and projected by
-        ``project`` (see _count); ``line_no`` lines precede ``raw``."""
+        ``project`` (see _count); ``line_no`` lines precede ``raw``. A
+        checked field's key, with no function, is read from its check's
+        cache; any other from a memo."""
         checks, getters = self._decoding()
-        keys = [(getters[field][0], _Tokens(getters[field][1], fn)) for field, fn in dims]
-        return _fold_tokens(self._batches(raw, stats, checks, line_no), keys, project)
+        keys = [(getters[field][0], getters[field][1] if fn is None and field in self._checked
+                 else _Memo(getters[field][1], fn).__getitem__) for field, fn in dims]
+        return _fold_rows(self._batches(raw, stats, checks, line_no), keys, project)
 
     def _batches(self, raw: BinaryIO, stats: IngestStats, checks: list, line_no: int) -> Iterator[tuple]:
         """The batch loop: each batch of rows from the batch reader (``_rows``)
@@ -800,20 +785,20 @@ class GisaidStream(_Stream):
     _records = staticmethod(lambda values: map(SampleRecord, *values.values()))
 
 
-def _fold_tokens(batches: Iterable[tuple], keys: list[tuple[int, "_Tokens"]], project: Callable):
-    """The token fold: the rows of ``batches`` keyed by ``keys`` (per
-    dimension, the index of its column in a batch and its _Tokens) in
-    small-int tokens and projected by ``project`` (see _count). A batch is
-    a tuple that starts with its columns, one sequence of cells per column,
-    the first holding a cell for every row; a batch without rows has none.
-    Each batch is rolled up, then freed, before the next one is read."""
-    tables = [tokens.keys for _, tokens in keys]
-    (roll, decode), part = project(tables), Counter()
+def _fold_rows(batches: Iterable[tuple], keys: list[tuple[int, Callable | None]], project: Callable):
+    """The fold: the rows of ``batches`` keyed by ``keys`` (per dimension,
+    the index of its column in a batch and the getter of its key from a
+    cell, None when the cell is the key) and projected by ``project`` (see
+    _count). A batch is a tuple that starts with its columns, one sequence
+    of cells per column, the first holding a cell for every row; a batch
+    without rows has none. Each batch is rolled up, then freed, before the
+    next one is read."""
+    roll, result = project()
     for columns, *_ in batches:
         if columns:
-            roll(part, [map(tokens.__getitem__, columns[i]) for i, tokens in keys], len(columns[0]))
+            roll([columns[i] if get is None else map(get, columns[i]) for i, get in keys], len(columns[0]))
         del columns, _
-    return decode(part)
+    return result()
 
 
 def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim] = (),
@@ -822,16 +807,16 @@ def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim
     ``dims`` in one pass and projected by ``project``, by default counted
     by key.
 
-    The fold keys each row by small-int tokens, one per distinct key of
-    each dimension. ``project``, given each dimension's keys in token order
-    (lists that grow as the fold finds keys), returns a roll-up and a
-    decode for one fold. The roll-up adds each batch, its token columns and
-    its row count, into a Counter, the part, in token space. The decode
-    maps the part to the table's keys, decoding only those it returns. A
-    shard sends back its decoded part, and the parts merge in file order
-    (see _merge). A stream is folded by its batch loop; records BATCH_ROWS
-    at a time, a batch's first column being its records and then one per
-    dimension. The two agree."""
+    The fold keys each row by its decoded keys: a dimension's key is read
+    from its column's decode cache, or, for a dimension with a function or
+    a column decoded cell by cell, from one memo of raw value to key
+    (_Memo). ``project`` returns a roll-up and a result for one fold. The
+    roll-up adds each batch, its key columns and its row count, into its
+    part, and the result is that part, the table's keys and sums. A shard
+    sends back its part, and the parts merge in file order (see _merge). A
+    stream is folded by its batch loop; records BATCH_ROWS at a time, a
+    batch's first column being its records and then one per dimension. The
+    two agree."""
     if where:
         project, dims = _where(len(where), project), (*where, *dims)
     if isinstance(items, _Stream):
@@ -841,7 +826,8 @@ def _count(items: Iterable | _Stream, dims: Sequence[_Dim], where: Sequence[_Dim
     items = iter(items)
     batches = (([batch, *(map(get, batch) for get in gets)],)
                for batch in iter(lambda: list(islice(items, BATCH_ROWS)), []))
-    return _fold_tokens(batches, [(i, _Tokens(fn)) for i, (_, fn) in enumerate(dims, 1)], project)
+    return _fold_rows(batches, [(i, None if fn is None else _Memo(fn).__getitem__)
+                              for i, (_, fn) in enumerate(dims, 1)], project)
 
 
 def ingest_sveerv(source: Source, *, delimiter: str = ",", encoding: str = "utf-8") -> SveervStream:

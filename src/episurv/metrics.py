@@ -13,10 +13,10 @@ independently and combined; rates for an empty denominator are Undefined
 (returned as None), never 0 and never NaN.
 
 The table functions (the tallies, comorbidity_profile, strata_table and
-stratified_report) key the records by just the dimensions the table reads,
-in tokens, roll each batch up into the table's sums as the fold goes and
-decode only the table's keys (see ``ingest._count``). They take records,
-or a SveervStream, folded by its batch loop. strata_table keeps one packed
+stratified_report) key the records by the decoded values of just the
+dimensions the table reads, and roll each batch up into the table's sums
+as the fold goes (see ``ingest._count``). They take records, or a
+SveervStream, folded by its batch loop. strata_table keeps one packed
 int of CaseCounts sums per stratum (StrataTable), from which the metrics,
 rank and chart tables render and stratified_report builds its reports.
 """
@@ -32,7 +32,7 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import SveervStream, _count, _counted, _decoded, _Dim, _merge
+from .ingest import SveervStream, _count, _counted, _Dim, _merge
 from .schema import (
     COMORBIDITY_FIELDS,
     AgeGroup,
@@ -392,10 +392,10 @@ _Counts = namedtuple("_Counts", _COUNT_FIELDS)
 _LANES = struct.Struct(f"<{len(_COUNT_FIELDS)}Q")
 
 
-def _cell_vector(cells: list[list], tokens: tuple) -> int:
+def _cell_vector(cell: tuple) -> int:
     """The CaseCounts fields, packed, that one record of a _CELL_DIMS cell
-    adds, given its tokens and each cell dimension's keys."""
-    *cell, died = map(operator.getitem, cells, tokens)
+    (its keys) adds."""
+    *cell, died = cell
     counts = CaseCounts()
     counts.add(_Cell(*cell, died or None))
     return int.from_bytes(_LANES.pack(*_counts_of(counts)), "little")
@@ -411,49 +411,58 @@ def _unpacked(packed: int) -> CaseCounts:
     return CaseCounts(*_lanes(packed))
 
 
-# Token keys a strata roll-up counts before it sums them by group.
+# Keys a strata roll-up counts before it sums them by group.
 _ROLL_KEYS = 4096
 
 
-def _strata_sums(g: int, place: Callable, keys: list[list]) -> tuple[Callable, Callable]:
-    """The projection (see ``ingest._count``) of rows keyed by ``g`` group
-    dimensions and a _CELL_DIMS cell to each group's packed CaseCounts sums
-    (see _LANES), keyed by its StratumKey, placed by ``place``.
+def _strata_sums(used: Sequence[str], criterion: SeverityCriterion,
+                 positivity: PositivityMode) -> tuple[Callable, Callable]:
+    """The projection (see ``ingest._count``) of rows keyed by the ``used``
+    group dimensions and a _CELL_DIMS cell to a StrataTable of each group's
+    packed sums (see _LANES), in the order the groups first appear.
 
-    The roll-up counts rows by token key, in C, until the part holds
-    _ROLL_KEYS keys, which a coarse grouping never reaches; then it sums the
-    counts into each group's sums, and from there on adds each row's cell
-    vector to its group's sums as it comes. So the part holds at most
-    _ROLL_KEYS keys or one int per group. A cell's vector is found once per
-    fold, and only the group keys are decoded."""
-    vector = functools.cache(functools.partial(_cell_vector, keys[g:]))
-    summed = False  # whether the part holds group sums rather than counts
+    The roll-up counts rows by key, in C, until the count holds _ROLL_KEYS
+    keys, which a coarse grouping never reaches; then it sums the counts
+    into the table, and from there on adds each row's cell vector to its
+    group's sums as it comes. A row's group is a plain tuple in StratumKey
+    layout, and a StratumKey is made only for a new group. A cell's vector
+    is found once per fold."""
+    table, counts, vector = StrataTable({}, criterion, positivity), Counter(), functools.cache(_cell_vector)
+    slots = [used.index(name) if name in used else None for name in GROUP_DIMENSIONS]
 
-    def sums(counts: dict[tuple, int]) -> dict[tuple, int]:
-        return _merge({}, ((key[:g], n * vector(key[g:])) for key, n in counts.items()))
+    def add(items: Iterable[tuple[tuple, int]]) -> None:
+        get = table.get
+        for group, packed in items:
+            old = get(group)
+            if old is None:
+                table[StratumKey._make(group)] = packed
+            else:
+                table[group] = old + packed
 
-    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
-        nonlocal summed
-        if not summed:
-            part.update(zip(*columns))
-            if len(part) >= _ROLL_KEYS:
-                summed, counts = True, sums(part)
-                part.clear()
-                part.update(counts)
+    def roll(columns: list[Iterator], n: int) -> None:
+        if counts is None:
+            groups = zip(*[repeat(None) if i is None else columns[i] for i in slots])
+            add(zip(groups, map(vector, zip(*columns[len(used):]))))
         else:
-            groups = zip(*columns[:g]) if g else repeat((), n)
-            _merge(part, zip(groups, map(vector, zip(*columns[g:]))))
+            counts.update(zip(*columns))
+            if len(counts) >= _ROLL_KEYS:
+                result()
 
-    def decode(part: Counter) -> dict[StratumKey, int]:
-        return {StratumKey._make(place((*map(operator.getitem, keys, group), None))): packed
-                for group, packed in (part if summed else sums(part)).items()}
-    return roll, decode
+    def result() -> StrataTable:
+        nonlocal counts
+        if counts is not None:
+            add((tuple(None if i is None else key[i] for i in slots), n * vector(key[len(used):]))
+                for key, n in counts.items())
+            counts = None
+        return table
+    return roll, result
 
 
-# Distinct packed sums whose rates a StrataTable keeps. At 4096, the 12.8k
-# strata of a 1M-row registry kept 1 MB more while rendering, for a hit
-# rate of 4%; at 100k rows 1024 hit 73% of the strata, 4096 hit 80%.
-_RATES_MEMO = 1024
+# Distinct packed sums whose rates a StrataTable keeps. Rendering the 12.8k
+# strata of a 100k-row registry peaks 0.57 MB above the table at 256 (48%
+# hits) and 0.73 MB at 1024 (73% hits), which then sets the command's peak,
+# for a render 2% faster; of a 1M-row one, 256 and 1024 hit 0.3% and 1%.
+_RATES_MEMO = 256
 
 
 class StrataTable(dict):
@@ -496,21 +505,19 @@ def strata_table(
     The fold keys each record by the group dimensions and its
     (classification, treatment, icu, intubated, died) cell, and rolls the
     keys up into each group's packed CaseCounts sums as it goes (see
-    _strata_sums): it holds at most _ROLL_KEYS counts or one int per group.
-    Only the group keys are decoded. The all-None key sums the leaves.
+    _strata_sums): it holds at most _ROLL_KEYS counts or one int per group,
+    and its sums are the table returned. The all-None key sums the leaves.
     """
     unknown = [dim for dim in group_by if dim not in GROUP_DIMENSIONS]
     if unknown:
         raise ValueError(f"unknown group_by dimension(s): {', '.join(unknown)}")
     used = [name for name in GROUP_DIMENSIONS if name in group_by]
-    # A leaf's StratumKey, positionally: its value on each used axis, None elsewhere.
-    place = operator.itemgetter(*[used.index(name) if name in used else len(used) for name in GROUP_DIMENSIONS])
-    sums = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
-                  project=functools.partial(_strata_sums, len(used), place))
-    national = sum(sums.values())
-    sums.pop(StratumKey(), None)  # the one leaf of no grouping
-    sums[StratumKey()] = national
-    return StrataTable(sums, criterion, positivity)
+    table = _tally(records, cohort, [_GROUP_DIMS[name] for name in used] + list(_CELL_DIMS),
+                   project=functools.partial(_strata_sums, used, criterion, positivity))
+    national = sum(table.values())
+    table.pop(StratumKey(), None)  # the one leaf of no grouping
+    table[StratumKey()] = national
+    return table
 
 
 def stratified_report(
@@ -572,16 +579,17 @@ def comorbidity_profile(
     return _tally(records, cohort, dims, _SUBCOHORTS[subcohort], _yes_by_group)
 
 
-def _yes_by_group(keys: list[list]) -> tuple[Callable, Callable]:
+def _yes_by_group() -> tuple[Callable, Callable]:
     """The projection (see ``ingest._count``) of rows keyed by age group and
-    the comorbidity flags to YES counts by (comorbidity, age group),
-    counted by (comorbidity index, age group token)."""
-    def roll(part: Counter, columns: list[Iterator], n: int) -> None:
+    the comorbidity flags to YES counts by (comorbidity, age group)."""
+    part: Counter[tuple[str, AgeGroup]] = Counter()
+
+    def roll(columns: list[Iterator], n: int) -> None:
         groups = list(columns[0])
-        for i, (values, flags) in enumerate(zip(keys[1:], columns[1:])):
-            yes = map(operator.is_, map(values.__getitem__, flags), repeat(CodedFlag.YES))
-            part.update(zip(repeat(i), compress(groups, yes)))
-    return roll, functools.partial(_decoded, keys=[COMORBIDITY_FIELDS, keys[0]])
+        for name, flags in zip(COMORBIDITY_FIELDS, columns[1:]):
+            yes = map(operator.is_, flags, repeat(CodedFlag.YES))
+            part.update(zip(repeat(name), compress(groups, yes)))
+    return roll, lambda: part
 
 
 def rank_states(

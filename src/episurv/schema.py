@@ -85,6 +85,8 @@ class Sex(Enum):
     MALE = "male"
     UNSPECIFIED = "unspecified"
 
+    __hash__ = object.__hash__  # in C, as equality is identity: keys are hashed per row
+
 
 #: SEXO codes; the reader takes any other integer as unspecified.
 SEX_CODES = {1: Sex.FEMALE, 2: Sex.MALE, 99: Sex.UNSPECIFIED}
@@ -96,6 +98,8 @@ class AgeGroup(Enum):
     Y41_59 = "41-59"
     Y60_PLUS = "60+"
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__  # see Sex
 
 
 #: The youngest age of each group but UNKNOWN, in AgeGroup order; each group

@@ -4,10 +4,12 @@ import operator
 import random
 from collections import Counter
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from episurv import metrics
 from episurv.fixtures import random_patient_records, write_sveerv_csv
 from episurv.ingest import SVEERV_COLUMNS, ingest_sveerv
 from episurv.metrics import (
@@ -18,6 +20,7 @@ from episurv.metrics import (
     PositivityMode,
     RankMetric,
     SeverityCriterion,
+    StrataTable,
     StratumKey,
     Subcohort,
     UndefinedForEmptyCohort,
@@ -272,26 +275,30 @@ def test_each_stratum_equals_a_per_record_fold(tmp_path_factory, jobs, criterion
         assert len({id(report.counts) for report in reports.values()}) == len(reports)
 
 
-def test_packed_sums_are_exact_with_no_carry_between_lanes():
+@pytest.mark.parametrize("roll_keys", [4096, 1])
+def test_packed_sums_are_exact_with_no_carry_between_lanes(roll_keys):
     """The strata roll-up holds each stratum's CaseCounts sums in one int,
-    one 64-bit lane per field: rows sum into it by their group,
-    parts (as shards send them) merge into it, sums just under 2**64 unpack
-    exactly, and a full lane carries nothing into its neighbour."""
+    one 64-bit lane per field: rows sum into it by their group (counted
+    by key first, or summed row by row once the count holds _ROLL_KEYS
+    keys), parts (as shards send them) merge into it, sums just under
+    2**64 unpack exactly, and a full lane carries nothing into its
+    neighbour."""
     died = make_record(treatment=TreatmentStrategy.HOSPITALIZED, icu=CodedFlag.YES,
                        intubated=CodedFlag.YES, death_date=date(2021, 8, 1))
     negative = make_record(classification=CaseClassification.NEGATIVE)
-    # Keys per dimension: the group's, then each cell dimension's; token i is record i's cell.
+    # Each cell dimension's key, per record.
     cells = [(r.classification, r.treatment, r.icu, r.intubated, r.death_date is not None)
              for r in (died, negative)]
-    keys = [["a", "b"], *map(list, zip(*cells))]
-    # Three rows: died and negative in group a, then died in group b; the
-    # group is placed as a StratumKey's state.
+    # Three rows, in two batches: died in group a, then negative in group a
+    # and died in group b; the group is a StratumKey's state.
     a, b = StratumKey("a"), StratumKey("b")
-    roll, decode = _strata_sums(1, operator.itemgetter(0, 1, 1, 1), keys)
-    part = Counter()
-    roll(part, [iter([0, 0, 1]), *(iter([0, 1, 0]) for _ in cells[0])], 3)
-    part = decode(part)
-    assert list(part) == [a, b]
+    with mock.patch.object(metrics, "_ROLL_KEYS", roll_keys):
+        roll, result = _strata_sums(["state"], SeverityCriterion.ICU_AND_INTUBATION, PositivityMode.AGGREGATE)
+        roll([iter(["a"]), *map(iter, zip(cells[0]))], 1)
+        roll([iter(["a", "b"]), *map(iter, zip(cells[1], cells[0]))], 2)
+        part = result()
+    assert isinstance(part, StrataTable) and list(part) == [a, b]
+    assert all(type(key) is StratumKey for key in part)
     assert _unpacked(part[a]) == counts_of(died, negative) and _unpacked(part[b]) == counts_of(died)
     died_vector, negative_vector = part[b], part[a] - part[b]
     big, other, full = 2**63 + 5, 2**63 - 7, 2**64 - 1

@@ -4,11 +4,14 @@ Each coded domain is decoded in one place, the registry reader's column
 decoders, so the domain tests read one registry row through ``ingest``.
 """
 
+import copy
+import pickle
 from datetime import date
 
 import pytest
 
 import episurv.metrics
+from episurv.genomics import StatusBucket
 from episurv.ingest import RowError, ingest_sveerv
 from episurv.schema import (
     AgeGroup,
@@ -97,3 +100,24 @@ def test_died_property_follows_death_date():
 def test_metrics_reexports_the_age_domain():
     assert episurv.metrics.AgeGroup is AgeGroup
     assert episurv.metrics.age_group is age_group
+
+
+@pytest.mark.parametrize("enum", [Sex, AgeGroup, StatusBucket])
+def test_hashed_members_compare_pickle_and_look_up_as_before(enum):
+    """Sex and AgeGroup hash by identity, in C; StatusBucket by its name.
+    Either way a member equals only itself, survives a pickle round trip as
+    itself, and is found by value, by name, and as a dict or set key by
+    itself or by its unpickled copy."""
+    members = list(enum)
+    assert [member.name for member in members] == list(enum.__members__)
+    for i, member in enumerate(members):
+        assert member == member and member is enum(member.value) is enum[member.name]
+        assert member != member.value and all(member != other for other in members[:i])
+        assert hash(member) == hash(member)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+    table = {member: i for i, member in enumerate(members)}
+    assert [table[pickle.loads(pickle.dumps(member))] for member in members] == list(range(len(members)))
+    assert all(member in frozenset(members) and member.value not in frozenset(members) for member in members)
+    assert table.get(members[0].value) is None

@@ -488,8 +488,7 @@ def _counted() -> tuple[Callable, Callable]:
 
 def _merge(total: dict, items: Iterable[tuple]) -> dict:
     """Add ``items``, (key, int) pairs, into ``total``; a new key goes last,
-    as in a whole-file pass. Rows are summed into a roll-up's part through
-    this, and so are parts into a whole."""
+    as in a whole-file pass. Shards' parts merge into a whole through this."""
     for key, value in items:
         total[key] = total.get(key, 0) + value
     return total

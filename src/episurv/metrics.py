@@ -32,7 +32,7 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .ingest import SveervStream, _count, _counted, _Dim, _merge
+from .ingest import SveervStream, _count, _counted, _Dim
 from .schema import (
     COMORBIDITY_FIELDS,
     AgeGroup,

@@ -1,8 +1,6 @@
 import dataclasses
 import itertools
-import operator
 import random
-from collections import Counter
 from datetime import date
 from unittest import mock
 

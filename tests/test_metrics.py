@@ -273,8 +273,7 @@ def test_each_stratum_equals_a_per_record_fold(tmp_path_factory, jobs, criterion
         assert len({id(report.counts) for report in reports.values()}) == len(reports)
 
 
-@pytest.mark.parametrize("roll_keys", [4096, 1])
-def test_packed_sums_are_exact_with_no_carry_between_lanes(roll_keys):
+def test_packed_sums_are_exact_with_no_carry_between_lanes():
     """The strata roll-up holds each stratum's CaseCounts sums in one int,
     one 64-bit lane per field: rows sum into it by their group (counted
     by key first, or summed row by row once the count holds _ROLL_KEYS
@@ -290,13 +289,16 @@ def test_packed_sums_are_exact_with_no_carry_between_lanes(roll_keys):
     # Three rows, in two batches: died in group a, then negative in group a
     # and died in group b; the group is a StratumKey's state.
     a, b = StratumKey("a"), StratumKey("b")
-    with mock.patch.object(metrics, "_ROLL_KEYS", roll_keys):
-        roll, result = _strata_sums(["state"], SeverityCriterion.ICU_AND_INTUBATION, PositivityMode.AGGREGATE)
-        roll([iter(["a"]), *map(iter, zip(cells[0]))], 1)
-        roll([iter(["a", "b"]), *map(iter, zip(cells[1], cells[0]))], 2)
-        part = result()
-    assert isinstance(part, StrataTable) and list(part) == [a, b]
-    assert all(type(key) is StratumKey for key in part)
+    parts = []
+    for roll_keys in (4096, 1):  # counted by key to the end, and summed by group from the second batch
+        with mock.patch.object(metrics, "_ROLL_KEYS", roll_keys):
+            roll, result = _strata_sums(["state"], SeverityCriterion.ICU_AND_INTUBATION, PositivityMode.AGGREGATE)
+            roll([iter(["a"]), *map(iter, zip(cells[0]))], 1)
+            roll([iter(["a", "b"]), *map(iter, zip(cells[1], cells[0]))], 2)
+            parts.append(result())
+    part, summed = parts
+    assert isinstance(part, StrataTable) and isinstance(summed, StrataTable) and part == summed
+    assert list(part) == list(summed) == [a, b] and all(type(key) is StratumKey for key in [*part, *summed])
     assert _unpacked(part[a]) == counts_of(died, negative) and _unpacked(part[b]) == counts_of(died)
     died_vector, negative_vector = part[b], part[a] - part[b]
     big, other, full = 2**63 + 5, 2**63 - 7, 2**64 - 1

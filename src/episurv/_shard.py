@@ -1,8 +1,8 @@
 """The sharded roll-up of a file's data across CPU cores (see ``episurv.ingest``).
 
-Kept out of ``ingest`` and imported only when a file is sharded: every
-command compiles ``ingest`` as it starts, and the parser's memory for that
-module sets the peak RSS of the small commands.
+Kept out of ``ingest`` and imported only when a file is sharded: with no
+bytecode cache, compiling ``ingest`` sets the peak RSS of a command on a
+small file, and a larger module would raise it.
 """
 
 import io

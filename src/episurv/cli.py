@@ -10,10 +10,12 @@ Every table is rendered the same way, by ``_cmd_table``: it opens the input
 as the subcommand's stream kind, computes the table's data by its entry in
 ``_TABLES``, renders it and writes the chunks as they come. ``_TABLES`` is
 the one place that ties a table to its subcommand, the options it reads and
-its producer.
+its producer. A producer imports the domain module it calls, ``metrics`` or
+``genomics``, when it runs, so a command loads only the one its table reads.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable file, malformed
-CSV, missing columns, inconsistent marginals, unknown preset), 130 interrupted.
+CSV, missing columns, inconsistent marginals, unknown preset, out of memory),
+130 interrupted.
 """
 
 import argparse
@@ -21,40 +23,22 @@ import errno
 import os
 import sys
 from datetime import date
+from importlib import import_module
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-# Imported first: compiling ingest before genomics and its imports keeps the
-# peak RSS of the small commands about 0.3 MB lower (Python 3.11, with no
-# bytecode cache).
 from .ingest import ingest_gisaid, ingest_sveerv, validate_report
-from .genomics import (
-    DEFAULT_CATALOG,
-    full_crosstab,
-    load_catalog,
-    state_summary,
-    status_crosstab,
-    variant_shares,
-)
-from .metrics import (
-    CohortFilter,
+from .report import ShapeMismatch, TableId, format_pct, render_chunks
+from .schema import (
     GROUP_DIMENSIONS,
+    STATE_NAMES,
     PositivityMode,
     RankMetric,
     SeverityCriterion,
-    StrataTable,
+    Sex,
     StratumKey,
     Subcohort,
-    classification_sex_tally,
-    comorbidity_profile,
-    death_classification_sex_tally,
-    death_icu_sex_tally,
-    intubation_sex_tally,
-    state_treatment_tally,
-    strata_table,
-    treatment_sex_tally,
 )
-from .report import ShapeMismatch, TableId, format_pct, render_chunks
-from .schema import STATE_NAMES, Sex
 
 __all__ = ["main"]
 
@@ -155,7 +139,9 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _cohort_from(args) -> CohortFilter:
+def _cohort_from(args):
+    from .metrics import CohortFilter
+
     onset = None
     if args.onset_from is not None or args.onset_to is not None:
         onset = (args.onset_from or date.min, args.onset_to or date.max)
@@ -209,13 +195,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _tally(tally):
-    return lambda stream, args: tally(stream, _cohort_from(args))
+def _call(module: str, name: str, *reads: Callable) -> Callable:
+    """The producer that calls the function ``name`` of ``module``, a domain
+    module imported as it runs, on the stream and what each of ``reads``
+    reads of the parsed arguments."""
+    def produce(stream, args):
+        return getattr(import_module(module, __package__), name)(stream, *[read(args) for read in reads])
+    return produce
 
 
-def _strata(stream, args, group_by=("state",)) -> StrataTable:
+def _strata(stream, args, group_by=("state",)):
     """A registry table's strata by ``group_by``, packed: the per-state
     charts keep the default."""
+    from .metrics import strata_table
+
     return strata_table(stream, _cohort_from(args), group_by,
                         SeverityCriterion(args.severity_rule or SeverityCriterion.ICU_AND_INTUBATION),
                         PositivityMode(args.positivity or PositivityMode.AGGREGATE))
@@ -225,9 +218,11 @@ def _label(args) -> str:
     return args.label or "Delta"
 
 
-def _summary(stream, args):
-    states = ("Puebla", "Hidalgo", "Veracruz", "Oaxaca") if args.states is None else args.states
-    return state_summary(stream, args.catalog, _label(args), states)
+def _states(args) -> Sequence[str]:
+    return ("Puebla", "Hidalgo", "Veracruz", "Oaxaca") if args.states is None else args.states
+
+
+_summary = _call(".genomics", "state_summary", attrgetter("catalog"), _label, _states)
 
 
 # Every table, with the subcommand that renders it, the options its table
@@ -236,21 +231,21 @@ def _summary(stream, args):
 # subcommand's --table choices are its tables here, in this order. rank
 # reads both indicator settings, whichever --metric it ranks by.
 _TABLES: dict[TableId, tuple[str, tuple[str, ...], Callable]] = {
-    TableId.T1: ("epi-report", (), _tally(classification_sex_tally)),
-    TableId.T2: ("epi-report", (), _tally(classification_sex_tally)),
-    TableId.T3: ("epi-report", (), _tally(treatment_sex_tally)),
-    TableId.T4: ("epi-report", (), _tally(state_treatment_tally)),
-    TableId.T5: ("epi-report", (), _tally(intubation_sex_tally)),
-    TableId.T6: ("epi-report", (), _tally(death_classification_sex_tally)),
-    TableId.T7: ("epi-report", (), _tally(death_icu_sex_tally)),
+    TableId.T1: ("epi-report", (), _call(".metrics", "classification_sex_tally", _cohort_from)),
+    TableId.T2: ("epi-report", (), _call(".metrics", "classification_sex_tally", _cohort_from)),
+    TableId.T3: ("epi-report", (), _call(".metrics", "treatment_sex_tally", _cohort_from)),
+    TableId.T4: ("epi-report", (), _call(".metrics", "state_treatment_tally", _cohort_from)),
+    TableId.T5: ("epi-report", (), _call(".metrics", "intubation_sex_tally", _cohort_from)),
+    TableId.T6: ("epi-report", (), _call(".metrics", "death_classification_sex_tally", _cohort_from)),
+    TableId.T7: ("epi-report", (), _call(".metrics", "death_icu_sex_tally", _cohort_from)),
     TableId.METRICS: ("epi-report", ("group_by", "severity_rule", "positivity"),
                       lambda stream, args: _strata(stream, args, args.group_by or ())),
-    TableId.COMORBIDITY_PROFILE: ("epi-report", ("subcohort",), lambda stream, args: comorbidity_profile(
-        stream, _cohort_from(args), Subcohort(args.subcohort or Subcohort.DEATHS_ICU_INTUBATED))),
-    TableId.G3_SHARES: ("genomic-report", (), lambda stream, args: variant_shares(stream, args.catalog)),
-    TableId.T8: ("genomic-report", (), lambda stream, args: full_crosstab(stream, args.catalog)),
-    TableId.T9: ("genomic-report", ("label",),
-                 lambda stream, args: status_crosstab(stream, args.catalog, _label(args))),
+    TableId.COMORBIDITY_PROFILE: ("epi-report", ("subcohort",), _call(
+        ".metrics", "comorbidity_profile", _cohort_from,
+        lambda args: Subcohort(args.subcohort or Subcohort.DEATHS_ICU_INTUBATED))),
+    TableId.G3_SHARES: ("genomic-report", (), _call(".genomics", "variant_shares", attrgetter("catalog"))),
+    TableId.T8: ("genomic-report", (), _call(".genomics", "full_crosstab", attrgetter("catalog"))),
+    TableId.T9: ("genomic-report", ("label",), _call(".genomics", "status_crosstab", attrgetter("catalog"), _label)),
     TableId.T10: ("genomic-report", ("label", "states"), _summary),
     TableId.T11: ("genomic-report", ("label", "states"), _summary),
     TableId.T12: ("genomic-report", ("label", "states"), _summary),
@@ -297,6 +292,8 @@ def _option_error(args, table: TableId) -> str | None:
             return f"--{dest.replace('_', '-')} applies only to {_readers(dest)}"
     if args.kind == "sveerv":
         return None
+    from .genomics import DEFAULT_CATALOG, load_catalog
+
     args.catalog = load_catalog(args.catalog) if args.catalog else DEFAULT_CATALOG
     if args.label is not None and args.catalog.get(args.label) is None:
         labels = ", ".join(v.who_label for v in args.catalog.variants)
@@ -475,6 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"episurv: error: {exc}\n")
+        return 2
+    except MemoryError:  # raised here or, pickled, by a shard worker
+        sys.stderr.write("episurv: error: out of memory\n")
         return 2
     except KeyboardInterrupt:
         sys.stderr.write("episurv: interrupted\n")

@@ -28,25 +28,30 @@ import struct
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from datetime import date
-from enum import Enum
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import SveervStream, _count, _counted, _Dim
 from .schema import (
     COMORBIDITY_FIELDS,
+    GROUP_DIMENSIONS,
     AgeGroup,
     CaseClassification,
     CodedFlag,
     PatientRecord,
+    PositivityMode,
+    RankMetric,
+    SeverityCriterion,
     Sex,
+    StratumKey,
+    Subcohort,
     TreatmentStrategy,
     age_group,
     is_positive,
 )
 
 __all__ = [
-    "AgeGroup",  # this and age_group are defined in schema
+    "AgeGroup",  # defined in schema, as are age_group, StratumKey, GROUP_DIMENSIONS and the four enums below
     "age_group",
     "CohortFilter",
     "StratumKey",
@@ -123,23 +128,6 @@ def _within(start: date, end: date, day: date | None) -> bool:
     return day is not None and start <= day <= end
 
 
-class StratumKey(NamedTuple):
-    """Stratum coordinates; None in a position means "all" on that axis."""
-
-    state: int | None = None
-    municipality: int | None = None
-    sex: Sex | None = None
-    age_group: AgeGroup | None = None
-
-    def is_state(self) -> bool:
-        """A state, and None on every other axis: a per-state stratum."""
-        return self.state is not None and self == StratumKey(self.state)
-
-
-#: Dimensions accepted by stratified_report's group_by, in key order.
-GROUP_DIMENSIONS = StratumKey._fields
-
-
 @dataclass(slots=True)
 class CaseCounts:
     """Mergeable counters over one cohort (or stratum) of records.
@@ -211,41 +199,6 @@ def accumulate(acc: CaseCounts, r: PatientRecord) -> CaseCounts:
 def merge(a: CaseCounts, b: CaseCounts) -> CaseCounts:
     """Field-wise sum. Associative and commutative; CaseCounts() is identity."""
     return CaseCounts(**{name: getattr(a, name) + getattr(b, name) for name in _COUNT_FIELDS})
-
-
-class PositivityMode(Enum):
-    """Denominator choice for the positivity index.
-
-    AGGREGATE divides by every registered case (the reporting convention the
-    shipped presets follow); LAB_NEGATIVE divides by positives plus
-    lab-negatives only, excluding suspect/invalid/not-performed rows.
-    """
-
-    AGGREGATE = "aggregate"
-    LAB_NEGATIVE = "lab-negative"
-
-
-class SeverityCriterion(Enum):
-    """What counts as severe support for TGI3."""
-
-    INTUBATION_ONLY = "intubation-only"
-    ICU_ONLY = "icu-only"
-    ICU_AND_INTUBATION = "icu-and-intubation"
-    ICU_OR_INTUBATION = "icu-or-intubation"
-
-
-class Subcohort(Enum):
-    """Comorbidity-profile target populations."""
-
-    HOSPITALIZED_POSITIVE = "hospitalized-positive"
-    DEATHS_POSITIVE = "deaths-positive"
-    DEATHS_ICU_INTUBATED = "deaths-icu-intubated"
-
-
-class RankMetric(Enum):
-    FATALITY = "fatality"
-    POSITIVITY = "positivity"
-    TGI3 = "tgi3"
 
 
 class UndefinedForEmptyCohort(ValueError):

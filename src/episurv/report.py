@@ -11,38 +11,36 @@ at a time (the metrics rows, too, are built as they are rendered);
 ``render`` joins them. The strata tables render from a packed
 ``StrataTable`` or from ``stratified_report``'s reports alike, a stratum's
 counts and rates read through one accessor (``metrics._stratum_cells``).
+
+A builder imports ``metrics`` or ``genomics`` only when it runs; ``json``
+and ``decimal`` load only for JSON output and percentages.
 """
 
+from __future__ import annotations
+
 import re
-from dataclasses import fields
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import islice
-from json import JSONEncoder
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
-from .genomics import StateSummary, StatusBucket, VariantShares, bucket_status
-from .metrics import (
-    GROUP_DIMENSIONS,
-    CaseCounts,
-    MetricsReport,
-    RankMetric,
-    StrataTable,
-    StratumKey,
-    _stratum_cells,
-    rank_states,
-)
 from .schema import (
     COMORBIDITY_FIELDS,
+    GROUP_DIMENSIONS,
     AgeGroup,
     CaseClassification,
     CodedFlag,
     STATE_NAMES,
+    RankMetric,
     Sex,
+    StratumKey,
     TreatmentStrategy,
     is_positive,
 )
+
+if TYPE_CHECKING:
+    from .genomics import StateSummary, VariantShares
+    from .metrics import MetricsReport, StrataTable
 
 __all__ = ["TableId", "ShapeMismatch", "render", "render_chunks", "format_pct"]
 
@@ -84,6 +82,8 @@ def format_pct(value: float) -> str:
 # reprs, and so their texts, tell them apart. A table repeats few values.
 @lru_cache(maxsize=4096)
 def _quantized(text: str) -> str:
+    from decimal import ROUND_HALF_UP, Decimal
+
     return str(Decimal(text).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
@@ -95,8 +95,7 @@ class _Pct(float):
 # Each member's place in its enum's definition order, for the sort keys;
 # None, meaning "all" on a stratum axis, sorts first, below every state and
 # municipality code, which rank as themselves.
-_RANK = {None: float("-inf"), **{member: i for enum in (Sex, AgeGroup, StatusBucket)
-                                 for i, member in enumerate(enum)}}
+_RANK = {None: float("-inf"), **{member: i for enum in (Sex, AgeGroup) for i, member in enumerate(enum)}}
 # A stratum axis's cell: "all" for None, a member's value, or the code itself.
 _AXIS_CELL = {None: "all", **{member: member.value for enum in (Sex, AgeGroup) for member in enum}}
 
@@ -154,10 +153,13 @@ def _build_t8(data: Mapping):
 
 
 def _build_t9(data: Mapping):
+    from .genomics import StatusBucket, bucket_status
+
     cols = ("patient_status", "bucket", "clade", "count")
+    rank = {bucket: i for i, bucket in enumerate(StatusBucket)}
     def key(item):
         (status, clade), _ = item
-        return (_RANK[bucket_status(status)], status, clade)
+        return (rank[bucket_status(status)], status, clade)
     rows = [
         (status, bucket_status(status).value, clade, n)
         for (status, clade), n in sorted(data.items(), key=key)
@@ -217,7 +219,10 @@ def _pcts(values: Iterable) -> list:
 def _build_state_chart(metric_names: tuple[str, ...], data: StrataTable | Mapping[StratumKey, MetricsReport]):
     """Per-state rows for the chart tables; strata with any undefined metric
     are omitted and reported in a trailer comment."""
-    cells, columns = _stratum_cells(data), [_CELL_AT[name] for name in metric_names]
+    from .metrics import _COUNT_FIELDS, _RATE_FIELDS, _stratum_cells
+
+    cells = _stratum_cells(data)
+    columns = [len(_COUNT_FIELDS) + _RATE_FIELDS.index(name) for name in metric_names]
     rows = []
     omitted = []
     for key in _in_stratum_order(data):
@@ -236,6 +241,8 @@ def _build_state_chart(metric_names: tuple[str, ...], data: StrataTable | Mappin
 
 
 def _build_rank(data: tuple[RankMetric, StrataTable | Mapping[StratumKey, MetricsReport]]):
+    from .metrics import rank_states
+
     metric, reports = data
     metric = RankMetric(metric)
     cols = ("rank", "state_code", "state", f"{metric.value}_pct")
@@ -258,13 +265,7 @@ def _build_comorbidity(data: Mapping):
     return cols, rows, []
 
 
-_COUNT_COLS = tuple(f.name for f in fields(CaseCounts))
-_RATE_COLS = tuple(f.name for f in fields(MetricsReport) if f.name != "counts")
-_CELL_AT = {name: i for i, name in enumerate(_COUNT_COLS + _RATE_COLS)}  # in a stratum's cells
-
-
-def _metrics_rows(keys: list[StratumKey], cells: Callable[[StratumKey], tuple]):
-    rates = len(_COUNT_COLS)
+def _metrics_rows(keys: list[StratumKey], cells: Callable[[StratumKey], tuple], rates: int):
     for key in keys:
         values = cells(key)
         yield *[_AXIS_CELL.get(value, value) for value in key], *values[:rates], *_pcts(values[rates:])
@@ -274,8 +275,10 @@ def _build_metrics(data: StrataTable | Mapping[StratumKey, MetricsReport]):
     """One row per stratum, in stratum order, from a packed table or from
     reports. The rows are built as they are rendered: a fine grouping has
     tens of thousands of strata."""
-    cells = _stratum_cells(data)
-    return GROUP_DIMENSIONS + _COUNT_COLS + _RATE_COLS, _metrics_rows(_in_stratum_order(data), cells), []
+    from .metrics import _COUNT_FIELDS, _RATE_FIELDS, _stratum_cells
+
+    rows = _metrics_rows(_in_stratum_order(data), _stratum_cells(data), len(_COUNT_FIELDS))
+    return GROUP_DIMENSIONS + _COUNT_FIELDS + _RATE_FIELDS, rows, []
 
 
 _CLASS_COLS = ("classification_code", "classification")
@@ -303,10 +306,10 @@ _BUILDERS = {
     TableId.RANK: _build_rank,
 }
 
-_SUMMARY_TABLES = {TableId.T10, TableId.T11, TableId.T12, TableId.T13}
+# The class, in genomics, of the data each of these tables renders from.
+_SHAPES = {**dict.fromkeys((TableId.T10, TableId.T11, TableId.T12, TableId.T13), "StateSummary"),
+           TableId.G3_SHARES: "VariantShares"}
 
-
-_JSON = JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) uses
 _CHUNK_ROWS = 64  # a few KiB of output: what rendering holds at once, whatever the table size
 
 
@@ -352,10 +355,11 @@ def render_chunks(table_id: TableId, data: Any, fmt: str = "tsv") -> Iterator[by
         raise ValueError(f"unknown format {fmt!r}")
     table_id = TableId(table_id)
     builder = _BUILDERS[table_id]
-    if table_id in _SUMMARY_TABLES and not isinstance(data, StateSummary):
-        raise ShapeMismatch(f"table {table_id.value} expects a StateSummary")
-    if table_id is TableId.G3_SHARES and not isinstance(data, VariantShares):
-        raise ShapeMismatch(f"table {table_id.value} expects a VariantShares")
+    if table_id in _SHAPES:
+        from . import genomics
+
+        if not isinstance(data, getattr(genomics, _SHAPES[table_id])):
+            raise ShapeMismatch(f"table {table_id.value} expects a {_SHAPES[table_id]}")
     try:
         cols, rows, trailers = builder(data)
     except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
@@ -365,13 +369,16 @@ def render_chunks(table_id: TableId, data: Any, fmt: str = "tsv") -> Iterator[by
 
 def _chunks(cols: tuple[str, ...], rows: Iterator[tuple], trailers: list[str], fmt: str) -> Iterator[bytes]:
     if fmt == "json":
+        from json import JSONEncoder
+
         # One encode per chunk's rows, its brackets cut off and the chunks
         # joined as json.dumps joins list items (", "): the chunks join into
         # the dumps of the whole row list.
+        encode = JSONEncoder(ensure_ascii=False).encode  # what json.dumps(..., ensure_ascii=False) uses
         yield b"["
         sep = ""
         while batch := list(islice(rows, _CHUNK_ROWS)):
-            text = _JSON.encode([dict(zip(cols, _json_cells(row))) for row in batch])
+            text = encode([dict(zip(cols, _json_cells(row))) for row in batch])
             yield (sep + text[1:-1]).encode("utf-8")
             sep = ", "
         yield b"]\n"

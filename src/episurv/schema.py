@@ -4,13 +4,15 @@ The open-data snapshots encode nearly every column as small integers: a 1-7
 final classification, 1/2 yes-no flags with 97/98/99 escape codes, sex as
 1/2/99, and a "9999-99-99" sentinel standing in for "still alive" in the
 death-date column. This module owns those domains, the decoded enums, and the
-record type the rest of the package consumes.
+record type the rest of the package consumes, and the table options' coded
+domains, which ``episurv.metrics`` re-exports.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 __all__ = [
     "MAX_AGE",
@@ -27,6 +29,12 @@ __all__ = [
     "SEX_CODES",
     "PatientRecord",
     "is_positive",
+    "PositivityMode",
+    "SeverityCriterion",
+    "Subcohort",
+    "RankMetric",
+    "StratumKey",
+    "GROUP_DIMENSIONS",
 ]
 
 # Registry guard: ages above this are treated as entry errors, not outliers.
@@ -211,3 +219,55 @@ def is_positive(classification: CaseClassification) -> bool:
     """True for the three confirmation routes (codes 1-3)."""
     return classification in POSITIVE_CLASSIFICATIONS
 
+
+
+class PositivityMode(Enum):
+    """Denominator choice for the positivity index.
+
+    AGGREGATE divides by every registered case (the reporting convention the
+    shipped presets follow); LAB_NEGATIVE divides by positives plus
+    lab-negatives only, excluding suspect/invalid/not-performed rows.
+    """
+
+    AGGREGATE = "aggregate"
+    LAB_NEGATIVE = "lab-negative"
+
+
+class SeverityCriterion(Enum):
+    """What counts as severe support for TGI3."""
+
+    INTUBATION_ONLY = "intubation-only"
+    ICU_ONLY = "icu-only"
+    ICU_AND_INTUBATION = "icu-and-intubation"
+    ICU_OR_INTUBATION = "icu-or-intubation"
+
+
+class Subcohort(Enum):
+    """Comorbidity-profile target populations."""
+
+    HOSPITALIZED_POSITIVE = "hospitalized-positive"
+    DEATHS_POSITIVE = "deaths-positive"
+    DEATHS_ICU_INTUBATED = "deaths-icu-intubated"
+
+
+class RankMetric(Enum):
+    FATALITY = "fatality"
+    POSITIVITY = "positivity"
+    TGI3 = "tgi3"
+
+
+class StratumKey(NamedTuple):
+    """Stratum coordinates; None in a position means "all" on that axis."""
+
+    state: int | None = None
+    municipality: int | None = None
+    sex: Sex | None = None
+    age_group: AgeGroup | None = None
+
+    def is_state(self) -> bool:
+        """A state, and None on every other axis: a per-state stratum."""
+        return self.state is not None and self == StratumKey(self.state)
+
+
+#: Dimensions accepted by stratified_report's group_by, in key order.
+GROUP_DIMENSIONS = StratumKey._fields

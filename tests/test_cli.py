@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from episurv import _shard, cli, fixtures
+from episurv import _shard, cli, fixtures, ingest
 from episurv.cli import _FATALITY_NOTE, main
 from episurv.fixtures import generate_fixture, load_preset
 from episurv.ingest import ingest_gisaid, ingest_sveerv
@@ -925,25 +925,35 @@ class TestFixtureGen:
         assert out.startswith("ENTIDAD_RES,")
 
 
-def _imported(*argv: str) -> set[str]:
-    """The modules a fresh interpreter run with ``argv`` imports."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+# The modules whose loading the gate below watches: the two domain modules,
+# the fixtures, and the standard modules that only some tables need.
+_WATCHED = {"episurv.metrics", "episurv.genomics", "episurv.fixtures", "json", "decimal", "unicodedata"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", "-i", "{epi}"], set()),
+    (["validate", "--kind", "gisaid", "-i", "{gisaid}"], set()),
+    (["epi-report", "--table", "t1", "-i", "{epi}"], {"episurv.metrics"}),
+    (["epi-report", "--table", "t1", "-f", "json", "-i", "{epi}"], {"episurv.metrics", "json"}),
+    (["epi-report", "--group-by", "state,municipality,sex,age-group", "-f", "json", "-i", "{epi}"],
+     {"episurv.metrics", "json", "decimal"}),
+    (["rank", "-i", "{epi}"], {"episurv.metrics", "decimal"}),
+    (["genomic-report", "--table", "t8", "-i", "{gisaid}"], {"episurv.genomics", "unicodedata"}),
+    (["genomic-report", "--table", "g3-shares", "-i", "{gisaid}"], {"episurv.genomics", "unicodedata", "decimal"}),
+    (["-c", "import episurv.report"], set()),
+    (["-c", "import episurv.genomics"], {"episurv.genomics", "unicodedata"}),
+], ids=lambda v: " ".join(v).replace(" -i {epi}", "").replace(" -i {gisaid}", "") if isinstance(v, list)
+   else "+".join(sorted(v)) or "none")
+def test_a_fresh_process_loads_only_the_modules_its_table_needs(argv, loaded, epi_file, gisaid_file):
+    """A command imports the domain module its table reads and no other,
+    json only for JSON output, and decimal only to format a percentage: the
+    modules loaded once it has run, listed on the last line of its stderr."""
+    argv = [arg.format(epi=epi_file, gisaid=gisaid_file) for arg in argv]
+    run = argv[1] if argv[0] == "-c" else f"from episurv.cli import main; assert main({argv!r}) == 0"
+    proc = subprocess.run([sys.executable, "-c", f"import sys; {run}; print(*sys.modules, file=sys.stderr)"],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
-
-
-def test_genomic_report_does_not_import_fixtures(gisaid_file):
-    imported = _imported("-m", "episurv.cli", "genomic-report", "-i", gisaid_file)
-    assert "episurv.genomics" in imported
-    assert "episurv.fixtures" not in imported
-
-
-def test_genomics_does_not_import_metrics():
-    imported = _imported("-c", "import episurv.genomics")
-    assert "episurv.genomics" in imported
-    assert "episurv.metrics" not in imported
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.splitlines()[-1].split()) & _WATCHED == loaded
 
 
 def test_console_script_runs():
@@ -973,6 +983,27 @@ def test_an_interrupt_prints_one_line_and_leaves_no_worker(tmp_path):
     assert code == 130 and out == b""
     assert err.splitlines() == ["episurv: interrupted"]
     assert len(pids) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_running_out_of_memory_prints_one_line(jobs, tmp_path):
+    """A MemoryError in the fold, serial or in a shard worker (pickled back
+    to the parent), ends in one error line and exit 2, with no traceback and
+    no worker left."""
+    path = tmp_path / "input"
+    path.write_bytes(_file_bytes(SVEERV_LINES[:80]))
+    parent, fold = os.getpid(), ingest._fold_rows
+
+    def exhausted(*args):
+        if jobs == 1 or os.getpid() != parent:
+            raise MemoryError
+        return fold(*args)
+
+    with _shards(jobs), mock.patch.object(ingest, "_fold_rows", exhausted), _forks() as pids:
+        code, out, err = _run(["validate", "-i", str(path)])
+    assert (code, out, err.splitlines()) == (2, b"", ["episurv: error: out of memory"])
+    assert len(pids) == jobs - 1
     _assert_no_child_left()
 
 

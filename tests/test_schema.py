@@ -11,6 +11,7 @@ from datetime import date
 import pytest
 
 import episurv.metrics
+from episurv import schema
 from episurv.genomics import StatusBucket
 from episurv.ingest import RowError, ingest_sveerv
 from episurv.schema import (
@@ -18,7 +19,12 @@ from episurv.schema import (
     CaseClassification,
     CodedFlag,
     PatientRecord,
+    PositivityMode,
+    RankMetric,
+    SeverityCriterion,
     Sex,
+    StratumKey,
+    Subcohort,
     TreatmentStrategy,
     age_group,
     is_positive,
@@ -121,3 +127,38 @@ def test_hashed_members_compare_pickle_and_look_up_as_before(enum):
     assert [table[pickle.loads(pickle.dumps(member))] for member in members] == list(range(len(members)))
     assert all(member in frozenset(members) and member.value not in frozenset(members) for member in members)
     assert table.get(members[0].value) is None
+
+
+@pytest.mark.parametrize("name", ["PositivityMode", "SeverityCriterion", "Subcohort", "RankMetric",
+                                  "StratumKey", "GROUP_DIMENSIONS"])
+def test_a_table_option_domain_is_defined_here_and_re_exported_by_metrics(name):
+    assert getattr(episurv.metrics, name) is getattr(schema, name)
+    assert name in schema.__all__ and name in episurv.metrics.__all__
+
+
+# [ICU_ONLY, LAB_NEGATIVE, DEATHS_POSITIVE, TGI3, StratumKey(21, None, MALE,
+# Y60_PLUS)], pickled (protocol 5) when these domains were defined in
+# episurv.metrics.
+_PICKLED_FROM_METRICS = (
+    b"\x80\x05\x95\xfc\x00\x00\x00\x00\x00\x00\x00]\x94(\x8c\x0fepisurv.metrics\x94\x8c\x11SeverityCriterion"
+    b"\x94\x93\x94\x8c\x08icu-only\x94\x85\x94R\x94h\x01\x8c\x0ePositivityMode\x94\x93\x94\x8c\x0clab-negative"
+    b"\x94\x85\x94R\x94h\x01\x8c\tSubcohort\x94\x93\x94\x8c\x0fdeaths-positive\x94\x85\x94R\x94h\x01\x8c\n"
+    b"RankMetric\x94\x93\x94\x8c\x04tgi3\x94\x85\x94R\x94h\x01\x8c\nStratumKey\x94\x93\x94(K\x15N\x8c\x0e"
+    b"episurv.schema\x94\x8c\x03Sex\x94\x93\x94\x8c\x04male\x94\x85\x94R\x94h\x18\x8c\x08AgeGroup\x94\x93\x94"
+    b"\x8c\x0360+\x94\x85\x94R\x94t\x94\x81\x94e."
+)
+
+
+def test_the_table_option_domains_pickle_as_before():
+    """Members and strata keys round-trip equal, as themselves or as
+    StratumKeys, and a pickle that names the old module path still loads."""
+    values = [*PositivityMode, *SeverityCriterion, *Subcohort, *RankMetric,
+              StratumKey(), StratumKey(21, 3, Sex.MALE, AgeGroup.Y60_PLUS)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies = pickle.loads(pickle.dumps(values, protocol))
+        assert copies == values and list(map(type, copies)) == list(map(type, values))
+        assert all(twin is value for twin, value in zip(copies, values) if not isinstance(value, tuple))
+    old = pickle.loads(_PICKLED_FROM_METRICS)
+    assert old == [SeverityCriterion.ICU_ONLY, PositivityMode.LAB_NEGATIVE, Subcohort.DEATHS_POSITIVE, RankMetric.TGI3,
+                   StratumKey(21, None, Sex.MALE, AgeGroup.Y60_PLUS)]
+    assert type(old[-1]) is StratumKey
